@@ -24,6 +24,8 @@ from .formulas import (
     describe_even_cycle_bounds,
     describe_gr,
     describe_ramsey,
+    linear_claim,
+    size_three_divergence,
 )
 from .graphs import GcgFormatError, decode, encode
 from .patterns import PATTERN_KINDS, Pattern, contains_pattern, find_rainbow_triangle
@@ -141,7 +143,8 @@ def _cmd_ramsey(args: argparse.Namespace):
     budget = None
     if args.max_nodes is not None or args.max_seconds is not None:
         budget = SearchBudget(max_nodes=args.max_nodes, max_time=args.max_seconds)
-    n_max = args.n_max if args.n_max is not None else 2 * max(s, args.t) + 1
+    expected, cap = linear_claim(s, args.t)
+    n_max = args.n_max if args.n_max is not None else cap
     first = Pattern(args.family, s)
     second = Pattern(args.family, args.t)
     start = time.perf_counter()
@@ -156,14 +159,6 @@ def _cmd_ramsey(args: argparse.Namespace):
         f"witness-{args.family}-s{s}-t{args.t}-order{witness_order}.gcg",
     )
     _write_text(witness_path, encode(certificate.witness))
-    expected = 2 * max(s, args.t) - 1
-    divergence = None
-    if min(s, args.t) == 3:
-        divergence = (
-            "the linear form 2*max(s, t) - 1 holds only from size 4 upward; "
-            "at size 3 the target degenerates to the triangle and the "
-            f"certified value is {certificate.value}"
-        )
     result = {
         "value": certificate.value,
         "expected": expected,
@@ -175,7 +170,7 @@ def _cmd_ramsey(args: argparse.Namespace):
             "nodes": certificate.exhausted_outcome.nodes,
             "prunes": certificate.exhausted_outcome.prunes,
         },
-        "divergence": divergence,
+        "divergence": size_three_divergence(s, args.t, certificate.value),
     }
     sys.stderr.write(
         f"searched orders 2..{certificate.value} in {elapsed:.2f}s "

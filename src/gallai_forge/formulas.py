@@ -43,7 +43,28 @@ def ramsey_value(family: str, s: int, t: int) -> int:
     _check_family(family)
     if s < 4 or t < 4:
         raise ValueError(f"need s, t >= 4, got s={s}, t={t}; the t = 3 target follows R = 6")
-    return 2 * max(s, t) - 1
+    return linear_claim(s, t)[0]
+
+
+def linear_claim(s: int, t: int) -> tuple[int, int]:
+    """The value a search on targets of sizes s and t is held against, and
+    the largest order it tries: (2*max(s, t) - 1, 2*max(s, t) + 1).  Unlike
+    ramsey_value this accepts size 3, where the claim fails (see
+    size_three_divergence)."""
+    expected = 2 * max(s, t) - 1
+    return expected, expected + 2
+
+
+def size_three_divergence(s: int, t: int, value: int) -> str | None:
+    """The note explaining why a certified ``value`` departs from the linear
+    form when a target has 3 vertices, or None when both have more."""
+    if min(s, t) != 3:
+        return None
+    return (
+        "the linear form 2*max(s, t) - 1 holds only from size 4 upward; "
+        "at size 3 the target degenerates to the triangle and the "
+        f"certified value is {value}"
+    )
 
 
 def cycle_ramsey(m: int, n: int) -> int:

@@ -1,4 +1,4 @@
-"""Edge-colored complete graphs: storage, text format, partial colorings.
+"""Edge-colored complete graphs: storage and text format.
 
 Vertices are 0-based, colors are 1-based.  A complete graph on n vertices
 stores its edge colors in a flat lower-triangular array indexed by
@@ -214,14 +214,15 @@ def decode(text: str) -> ColoredCompleteGraph:
         raise GcgFormatError(line_no, tokens[0][1], "expected '<n> <k>'")
     dims = []
     for tok, col in tokens:
-        if not tok.isdigit():
+        # str.isdigit alone also accepts non-ASCII digits such as U+00B2, which int() rejects
+        if not (tok.isascii() and tok.isdigit()):
             raise GcgFormatError(line_no, col, f"expected an integer, got {tok!r}")
         dims.append(int(tok))
     n, k = dims
     if n < 1:
         raise GcgFormatError(line_no, tokens[0][1], f"vertex count must be at least 1, got {n}")
-    if k < 1:
-        raise GcgFormatError(line_no, tokens[1][1], f"color count must be at least 1, got {k}")
+    if not 1 <= k <= MAX_COLOR:
+        raise GcgFormatError(line_no, tokens[1][1], f"color count must be in 1..{MAX_COLOR}, got {k}")
 
     tri = np.empty(n * (n - 1) // 2, dtype=np.uint16)
     at = 0
@@ -230,7 +231,7 @@ def decode(text: str) -> ColoredCompleteGraph:
         if len(tokens) != i:
             raise GcgFormatError(line_no, tokens[0][1], f"row {i} has {len(tokens)} colors, expected {i}")
         for tok, col in tokens:
-            if not tok.isdigit():
+            if not (tok.isascii() and tok.isdigit()):
                 raise GcgFormatError(line_no, col, f"expected an integer color, got {tok!r}")
             value = int(tok)
             if not 1 <= value <= k:
@@ -241,67 +242,3 @@ def decode(text: str) -> ColoredCompleteGraph:
         line_no, tokens = significant[n + 1]
         raise GcgFormatError(line_no, tokens[0][1], f"unexpected data after row {n - 1}")
     return ColoredCompleteGraph(n, k, tri)
-
-
-class PartialColoring:
-    """Mutable edge coloring of K_n built one edge at a time.
-
-    Unassigned pairs have no color (color_of returns None).  Per-color
-    neighbor bitmasks and degree counters are kept in step with every
-    assign/unassign so completion tests against the newest edge stay cheap.
-    Single-owner: not safe to share while being mutated.
-    """
-
-    __slots__ = ("n", "k", "colors", "masks", "deg", "assigned")
-
-    def __init__(self, n: int, k: int):
-        if n < 1 or k < 1:
-            raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-        self.n = n
-        self.k = k
-        self.colors = [0] * (n * (n - 1) // 2)  # 0 is the internal "absent" marker
-        self.masks = [[0] * n for _ in range(k + 1)]
-        self.deg = [[0] * n for _ in range(k + 1)]
-        self.assigned = 0
-
-    def color_of(self, u: int, v: int) -> int | None:
-        c = self.colors[tri_index(u, v)]
-        return c if c else None
-
-    def assign(self, u: int, v: int, c: int) -> None:
-        if not 1 <= c <= self.k:
-            raise ValueError(f"color {c} out of range 1..{self.k}")
-        i = tri_index(u, v)
-        if self.colors[i]:
-            raise ValueError(f"edge {{{u}, {v}}} is already colored")
-        self.colors[i] = c
-        self.masks[c][u] |= 1 << v
-        self.masks[c][v] |= 1 << u
-        self.deg[c][u] += 1
-        self.deg[c][v] += 1
-        self.assigned += 1
-
-    def unassign(self, u: int, v: int) -> None:
-        i = tri_index(u, v)
-        c = self.colors[i]
-        if not c:
-            raise ValueError(f"edge {{{u}, {v}}} is not colored")
-        self.colors[i] = 0
-        self.masks[c][u] &= ~(1 << v)
-        self.masks[c][v] &= ~(1 << u)
-        self.deg[c][u] -= 1
-        self.deg[c][v] -= 1
-        self.assigned -= 1
-
-    def is_complete(self) -> bool:
-        return self.assigned == len(self.colors)
-
-    def to_complete(self) -> ColoredCompleteGraph:
-        if not self.is_complete():
-            raise ValueError(f"{len(self.colors) - self.assigned} edges are still uncolored")
-        return ColoredCompleteGraph(self.n, self.k, self.colors)
-
-    def filled(self, filler: int) -> ColoredCompleteGraph:
-        """Complete graph with every unassigned edge set to ``filler``."""
-        k = max(self.k, filler)
-        return ColoredCompleteGraph(self.n, k, [c if c else filler for c in self.colors])

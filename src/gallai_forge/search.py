@@ -19,6 +19,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+from .formulas import linear_claim, size_three_divergence
 from .graphs import ColoredCompleteGraph
 from .patterns import Pattern, contains_pattern
 
@@ -183,22 +184,18 @@ def _explore(n, p_red, p_blue, prefix, depth_stop, first_only, cap, deadline, on
         for u in range(v):
             eu.append(u)
             ev.append(v)
-    adj1 = [0] * n
-    adj2 = [0] * n
-    deg1 = [0] * n
-    deg2 = [0] * n
-    hit1 = _make_checker(p_red, adj1, deg1)
-    hit2 = _make_checker(p_blue, adj2, deg2)
+    # per-color state, indexed by color 1 or 2
+    adj = (None, [0] * n, [0] * n)
+    deg = (None, [0] * n, [0] * n)
+    hit = (None, _make_checker(p_red, adj[1], deg[1]), _make_checker(p_blue, adj[2], deg[2]))
     col = [0] * total
     for e, c in enumerate(prefix):
         u, v = eu[e], ev[e]
         col[e] = c
-        a = adj1 if c == 1 else adj2
-        d = deg1 if c == 1 else deg2
-        a[u] |= 1 << v
-        a[v] |= 1 << u
-        d[u] += 1
-        d[v] += 1
+        adj[c][u] |= 1 << v
+        adj[c][v] |= 1 << u
+        deg[c][u] += 1
+        deg[c][v] += 1
     base = len(prefix)
     symmetric = p_red == p_blue
     nxt = [1] * (depth_stop + 1)
@@ -214,83 +211,48 @@ def _explore(n, p_red, p_blue, prefix, depth_stop, first_only, cap, deadline, on
             results.append(tuple(col[:depth_stop]))
             if first_only:
                 break
-            level -= 1
-            if level < base:
-                break
-            u = eu[level]
-            v = ev[level]
-            if col[level] == 1:
-                adj1[u] ^= 1 << v
-                adj1[v] ^= 1 << u
-                deg1[u] -= 1
-                deg1[v] -= 1
+        else:
+            c = nxt[level]
+            if c <= (2 if level or not symmetric else 1):
+                nxt[level] = c + 1
+                nodes += 1
+                if nodes > cap:
+                    truncated = "nodes"
+                    break
+                if check_time and (nodes & 8191) == 0 and clock() > deadline:
+                    truncated = "time"
+                    break
+                u = eu[level]
+                v = ev[level]
+                col[level] = c
+                a = adj[c]
+                d = deg[c]
+                a[u] |= 1 << v
+                a[v] |= 1 << u
+                d[u] += 1
+                d[v] += 1
+                level += 1
+                if not hit[c](u, v):
+                    continue
+                prunes += 1
+                if on_prune is not None:
+                    on_prune(tuple(col[:level]), (u, v), c)
+                # the backtrack below takes the pruned edge off again
             else:
-                adj2[u] ^= 1 << v
-                adj2[v] ^= 1 << u
-                deg2[u] -= 1
-                deg2[v] -= 1
-            continue
-        c = nxt[level]
-        if c > (2 if level or not symmetric else 1):
-            nxt[level] = 1
-            level -= 1
-            if level < base:
-                break
-            u = eu[level]
-            v = ev[level]
-            if col[level] == 1:
-                adj1[u] ^= 1 << v
-                adj1[v] ^= 1 << u
-                deg1[u] -= 1
-                deg1[v] -= 1
-            else:
-                adj2[u] ^= 1 << v
-                adj2[v] ^= 1 << u
-                deg2[u] -= 1
-                deg2[v] -= 1
-            continue
-        nxt[level] = c + 1
-        nodes += 1
-        if nodes > cap:
-            truncated = "nodes"
-            break
-        if check_time and (nodes & 8191) == 0 and clock() > deadline:
-            truncated = "time"
+                nxt[level] = 1
+        # backtrack: take the edge at level - 1 off
+        level -= 1
+        if level < base:
             break
         u = eu[level]
         v = ev[level]
-        bu = 1 << u
-        bv = 1 << v
-        col[level] = c
-        if c == 1:
-            adj1[u] |= bv
-            adj1[v] |= bu
-            deg1[u] += 1
-            deg1[v] += 1
-            if hit1(u, v):
-                prunes += 1
-                if on_prune is not None:
-                    on_prune(tuple(col[: level + 1]), (u, v), 1)
-                adj1[u] ^= bv
-                adj1[v] ^= bu
-                deg1[u] -= 1
-                deg1[v] -= 1
-                continue
-        else:
-            adj2[u] |= bv
-            adj2[v] |= bu
-            deg2[u] += 1
-            deg2[v] += 1
-            if hit2(u, v):
-                prunes += 1
-                if on_prune is not None:
-                    on_prune(tuple(col[: level + 1]), (u, v), 2)
-                adj2[u] ^= bv
-                adj2[v] ^= bu
-                deg2[u] -= 1
-                deg2[v] -= 1
-                continue
-        level += 1
+        c = col[level]
+        a = adj[c]
+        d = deg[c]
+        a[u] ^= 1 << v
+        a[v] ^= 1 << u
+        d[u] -= 1
+        d[v] -= 1
     return results, nodes, prunes, truncated
 
 
@@ -471,14 +433,9 @@ def verify_paper_claims(
         raise ValueError(f"unknown target family {family!r}")
     if t < 3:
         raise ValueError(f"need t >= 3, got {t}")
-    expected = 2 * t - 1
+    expected, cap = linear_claim(t, t)
     pattern = Pattern(family, t)
-    certificate = ramsey_number(pattern, pattern, n_max=2 * t + 1, budget=budget, jobs=jobs)
+    certificate = ramsey_number(pattern, pattern, n_max=cap, budget=budget, jobs=jobs)
     matches = certificate.value == expected
-    divergence = None
-    if t == 3:
-        divergence = (
-            "the 2t - 1 form starts at t = 4: on 3 vertices the target is the "
-            f"triangle and the certified value is {certificate.value}, not {expected}"
-        )
+    divergence = size_three_divergence(t, t, certificate.value)
     return ClaimReport(family, t, expected, certificate.value, matches, divergence, certificate)

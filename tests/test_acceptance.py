@@ -1,325 +1,60 @@
-"""Acceptance gate: one test per criterion, each printing a pass/fail line.
+"""Acceptance gate: one test per criterion of ``gallai_forge.repro``, each
+printing a pass/fail line.
 
-Numbering follows the project's criteria list.  Wall-clock limits are
-asserted where the criterion states one; sample counts meet or exceed the
-stated minimums.
+The criteria, their samples, seeds and time limits live in ``repro.py``;
+these tests run them with the stretch certification on and four jobs.
 """
 
 from __future__ import annotations
 
-import io
-import itertools
-import json
-import os
-import random
-import subprocess
-import sys
-import time
-from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
-
-import pytest
-
-import gallai_forge
-from gallai_forge.cli import main as cli_main
-from gallai_forge.constructions import lower_bound_construction, random_gallai
-from gallai_forge.decompose import gallai_partition, validate_partition
-from gallai_forge.formulas import cycle_ramsey, even_cycle_gr_bounds, gr_value
-from gallai_forge.graphs import ColoredCompleteGraph, encode
-from gallai_forge.patterns import (
-    PATTERN_KINDS,
-    Pattern,
-    brute_force_find,
-    contains_pattern,
-    find_mono_star_plus,
-    find_rainbow_triangle,
-    verify_witness,
-)
-from gallai_forge.search import BudgetExhausted, SearchBudget, ramsey_number, verify_paper_claims
+from gallai_forge.repro import CRITERIA, ReproContext, run_criterion
 
 from conftest import ACCEPTANCE_LINES
 
 
-def _report(number: int, ok: bool, detail: str) -> None:
-    line = f"criterion {number}: {'PASS' if ok else 'FAIL'} - {detail}"
+def _run(number: int, tmp_path) -> None:
+    criterion = CRITERIA[number - 1]
+    ctx = ReproContext(quick=False, stretch=True, jobs=4, out_dir=str(tmp_path))
+    row = run_criterion(criterion, ctx)
+    limit = "" if criterion.limit is None else f", limit {criterion.limit:g}s"
+    ok = row["status"] == "pass"
+    line = f"criterion {number}: {'PASS' if ok else 'FAIL'} - {row['detail']} ({row['seconds']:.2f}s{limit})"
     ACCEPTANCE_LINES.append(line)
     print(line)
     assert ok, line
 
 
-def _run_cli(argv: list[str]) -> tuple[int, dict]:
-    out = io.StringIO()
-    with redirect_stdout(out), redirect_stderr(io.StringIO()):
-        code = cli_main(argv)
-    return code, json.loads(out.getvalue())
+def test_criterion_1_exact_certification_t4(tmp_path):
+    _run(1, tmp_path)
 
 
-def test_criterion_1_exact_certification_t4():
-    begin = time.perf_counter()
-    details = []
-    ok = True
-    for family in ("star-plus", "path-plus"):
-        target = Pattern(family, 4)
-        cert = ramsey_number(target, target, n_max=9, jobs=1)
-        ok = ok and cert.value == 7 and cert.witness.n == 6
-        ok = ok and contains_pattern(cert.witness, target, 1) is None
-        ok = ok and contains_pattern(cert.witness, target, 2) is None
-        ok = ok and cert.exhausted_outcome.verdict == "exhausted"
-        details.append(f"{family}=7 ({cert.exhausted_outcome.nodes} nodes)")
-    elapsed = time.perf_counter() - begin
-    ok = ok and elapsed < 60.0
-    _report(1, ok, f"{'; '.join(details)} in {elapsed:.2f}s (limit 60s)")
+def test_criterion_2_triangle_divergence(tmp_path):
+    _run(2, tmp_path)
 
 
-def test_criterion_2_triangle_divergence():
-    begin = time.perf_counter()
-    tri = Pattern.clique(3)
-    cert = ramsey_number(tri, tri, n_max=7)
-    ok = cert.value == 6 and cert.witness.n == 5
-    for v in range(5):
-        for color in (1, 2):
-            ok = ok and cert.witness.degree_in_color(v, color) == 2
-    elapsed = time.perf_counter() - begin
-    ok = ok and elapsed < 1.0
-    # the CLI must flag the divergence from the t >= 4 linear form
-    code, report = _run_cli(["ramsey", "--family", "star-plus", "-t", "3", "--out-dir", "/tmp"])
-    ok = ok and code == 1
-    ok = ok and report["result"]["value"] == 6
-    ok = ok and report["result"]["divergence"] is not None
-    lib_report = verify_paper_claims(3, "star-plus")
-    ok = ok and lib_report.divergence is not None
-    _report(2, ok, f"triangle value 6, pentagon witness, divergence flagged, {elapsed:.3f}s (limit 1s)")
-
-
-def test_criterion_3_stretch_t5():
-    budget = SearchBudget(max_nodes=10**9, max_time=7200.0)
-    cases = [
-        (Pattern.star_plus(5), Pattern.star_plus(5)),
-        (Pattern.path_plus(5), Pattern.path_plus(5)),
-        (Pattern.path_plus(4), Pattern.path_plus(5)),
-    ]
-    begin = time.perf_counter()
-    details = []
-    ok = True
-    try:
-        for first, second in cases:
-            cert = ramsey_number(first, second, n_max=10, budget=budget, jobs=4)
-            ok = ok and cert.value == 9
-            details.append(
-                f"({first.kind}{first.size},{second.kind}{second.size})={cert.value}"
-            )
-    except BudgetExhausted as exc:
-        ok = False
-        details.append(f"budget exhausted: {exc.reason} after {exc.nodes} nodes")
-    elapsed = time.perf_counter() - begin
-    _report(3, ok, f"{'; '.join(details)} with jobs=4 in {elapsed:.2f}s (budget 1e9 nodes / 2h)")
+def test_criterion_3_stretch_t5(tmp_path):
+    _run(3, tmp_path)
 
 
 def test_criterion_4_constructions(tmp_path):
-    begin = time.perf_counter()
-    ok = True
-    checked = 0
-    for t in (4, 5, 6):
-        for k in range(1, 6):
-            graph = lower_bound_construction(t, k)
-            ok = ok and graph.n == gr_value("star-plus", t, k) - 1
-            path = tmp_path / f"c4-t{t}-k{k}.gcg"
-            path.write_text(encode(graph))
-            for family in ("star-plus", "path-plus"):
-                code, report = _run_cli(["verify", str(path), "--family", family, "-t", str(t)])
-                ok = ok and code == 0 and report["result"]["holds"] is True
-            checked += 1
-    elapsed = time.perf_counter() - begin
-    ok = ok and elapsed < 300.0
-    _report(4, ok, f"{checked} constructions verified clean via CLI in {elapsed:.1f}s (limit 5min)")
+    _run(4, tmp_path)
 
 
-def test_criterion_5_formula_suite():
-    ok = True
-    for family in ("star-plus", "path-plus"):
-        for t in range(4, 65):
-            ok = ok and gr_value(family, t, 2) == 2 * t - 1
-        for t in range(4, 17):
-            for k in range(1, 17):
-                ok = ok and gr_value(family, t, k + 2) == 5 * (gr_value(family, t, k) - 1) + 1
-    ok = ok and cycle_ramsey(5, 7) == 13
-    ok = ok and cycle_ramsey(4, 6) == 7
-    ok = ok and cycle_ramsey(4, 7) == 8
-    for n in range(2, 51):
-        for k in range(1, 51):
-            lo, hi = even_cycle_gr_bounds(n, k)
-            ok = ok and lo <= hi
-    _report(5, ok, "linear form to t=64, recurrence grid, cycle spots, bounds ordered")
+def test_criterion_5_formula_suite(tmp_path):
+    _run(5, tmp_path)
 
 
-def _oracle_rainbow(graph: ColoredCompleteGraph) -> bool:
-    for a, b, c in itertools.combinations(range(graph.n), 3):
-        if len({graph.color_of(a, b), graph.color_of(a, c), graph.color_of(b, c)}) == 3:
-            return True
-    return False
+def test_criterion_6_detector_oracle_equivalence(tmp_path):
+    _run(6, tmp_path)
 
 
-def _audit(graph: ColoredCompleteGraph) -> str | None:
-    fast_rb = find_rainbow_triangle(graph)
-    if (fast_rb is not None) != _oracle_rainbow(graph):
-        return "rainbow disagreement"
-    if fast_rb is not None and not verify_witness(graph, fast_rb):
-        return "rainbow witness invalid"
-    for kind in PATTERN_KINDS:
-        low = 3 if kind in ("star-plus", "path-plus", "cycle") else 2
-        for size in range(low, 7):
-            p = Pattern(kind, size)
-            fast = contains_pattern(graph, p)
-            slow = brute_force_find(graph, p)
-            if (fast is None) != (slow is None):
-                return f"{kind}-{size} disagreement"
-            if fast is not None and not verify_witness(graph, fast):
-                return f"{kind}-{size} witness invalid"
-    return None
+def test_criterion_7_decomposition(tmp_path):
+    _run(7, tmp_path)
 
 
-def test_criterion_6_detector_oracle_equivalence():
-    begin = time.perf_counter()
-    ok = True
-    audited = 0
-    failure = ""
-    for bits in range(64):
-        tri = [1 + ((bits >> i) & 1) for i in range(6)]
-        problem = _audit(ColoredCompleteGraph(4, 2, tri))
-        if problem:
-            ok, failure = False, f"K4 #{bits}: {problem}"
-            break
-        audited += 1
-    rng = random.Random(220)
-    if ok:
-        for i in range(1000):
-            n = rng.randint(3, 8)
-            k = rng.randint(1, 3)
-            tri = [rng.randint(1, k) for _ in range(n * (n - 1) // 2)]
-            problem = _audit(ColoredCompleteGraph(n, k, tri))
-            if problem:
-                ok, failure = False, f"sample {i}: {problem}"
-                break
-            audited += 1
-    elapsed = time.perf_counter() - begin
-    ok = ok and elapsed < 120.0
-    detail = failure or f"{audited} colorings, zero disagreements, {elapsed:.1f}s (limit 2min)"
-    _report(6, ok, detail)
-
-
-def test_criterion_7_decomposition():
-    begin = time.perf_counter()
-    ok = True
-    done = 0
-    failure = ""
-    rng = random.Random(1106)
-    for i in range(500):
-        n = rng.randint(2, 200)
-        k = rng.randint(1, 6)
-        graph = random_gallai(n, k, rng.randrange(2**32))
-        partition = gallai_partition(graph)
-        valid, why = validate_partition(graph, partition)
-        if not valid:
-            ok, failure = False, f"sample {i} (n={n}, k={k}): {why}"
-            break
-        done += 1
-    if ok:
-        for t in (4, 5, 6):
-            for k in range(1, 6):
-                graph = lower_bound_construction(t, k)
-                partition = gallai_partition(graph)
-                valid, why = validate_partition(graph, partition)
-                if not valid:
-                    ok, failure = False, f"construction t={t} k={k}: {why}"
-                    break
-                done += 1
-    elapsed = time.perf_counter() - begin
-    ok = ok and elapsed < 300.0
-    detail = failure or f"{done} partitions validated, {elapsed:.1f}s (limit 5min)"
-    _report(7, ok, detail)
-
-
-def test_criterion_8_statistical_upper_bound():
-    ok = True
-    detail = ""
-    base = 900000
-    for i in range(10000):
-        seed = base + i
-        graph = random_gallai(16, 3, seed)
-        if find_mono_star_plus(graph, 4) is None:
-            path = os.path.abspath(f"counterexample-order16-seed{seed}.gcg")
-            with open(path, "w", encoding="ascii", newline="") as fh:
-                fh.write(encode(graph))
-            ok = False
-            detail = f"counterexample at seed {seed} saved to {path}"
-            break
-    if ok:
-        detail = "10000 rainbow-free colorings of order 16 all contain the order-4 target"
-    _report(8, ok, detail)
-
-
-def _child_env() -> dict[str, str]:
-    """Environment for a CLI child whose cwd is not this one.
-
-    ``PYTHONPATH`` leads with the directory that holds the imported
-    package, followed by the inherited entries made absolute, so the child
-    imports the package under test from a ``src/`` checkout or an install.
-    """
-    package_root = str(Path(gallai_forge.__file__).resolve().parents[1])
-    inherited = [os.path.abspath(p) for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    return {**os.environ, "PYTHONPATH": os.pathsep.join([package_root, *inherited])}
-
-
-def _subprocess_cli(argv: list[str], cwd: str) -> tuple[int, bytes, bytes]:
-    proc = subprocess.run(
-        [sys.executable, "-m", "gallai_forge.cli", *argv],
-        capture_output=True,
-        cwd=cwd,
-        env=_child_env(),
-    )
-    return proc.returncode, proc.stdout, proc.stderr
-
-
-def _fresh_run(argv: list[str], workdir: str, artifact: str, notes: list[str]):
-    """One CLI child in a fresh interpreter; returns (exit code, stdout, artifact
-    bytes), or None after adding a note when the child fails or writes no
-    artifact.  The artifact is deleted first, so the bytes are this run's."""
-    path = Path(workdir) / artifact
-    path.unlink(missing_ok=True)
-    code, stdout, stderr = _subprocess_cli(argv, workdir)
-    if code == 0 and path.exists():
-        return code, stdout, path.read_bytes()
-    lines = stderr.decode("utf-8", "replace").strip().splitlines()
-    missing = "" if path.exists() else f", wrote no {artifact}"
-    notes.append(f"`{' '.join(argv)}` exited {code}{missing}: {lines[-1] if lines else '(no stderr)'}")
-    return None
+def test_criterion_8_statistical_upper_bound(tmp_path):
+    _run(8, tmp_path)
 
 
 def test_criterion_9_determinism(tmp_path):
-    notes = []
-    workdir = str(tmp_path)
-    fixed_cases = [
-        (["construct", "--family", "star-plus", "-t", "5", "-k", "3", "-o", "c9.gcg"], "c9.gcg"),
-        (["random", "-n", "24", "-k", "4", "--seed", "31", "-o", "r9.gcg"], "r9.gcg"),
-        (["ramsey", "--family", "star-plus", "-t", "4", "--out-dir", "."], "witness-star-plus-s4-t4-order6.gcg"),
-    ]
-    for argv, artifact in fixed_cases:
-        runs = [_fresh_run(argv, workdir, artifact, notes) for _ in range(3)]
-        if None not in runs and len(set(runs)) != 1:
-            notes.append(f"{argv[0]}: 3 identical runs differ")
-    # job counts must not change certified verdicts/values or artifacts
-    witness = "witness-star-plus-s4-t4-order6.gcg"
-    run1 = _fresh_run(
-        ["ramsey", "--family", "star-plus", "-t", "4", "--jobs", "1", "--out-dir", "."], workdir, witness, notes
-    )
-    run4 = _fresh_run(
-        ["ramsey", "--family", "star-plus", "-t", "4", "--jobs", "4", "--out-dir", "."], workdir, witness, notes
-    )
-    if run1 is not None and run4 is not None:
-        (code1, out1, witness1), (code4, out4, witness4) = run1, run4
-        result1 = json.loads(out1)["result"]
-        result4 = json.loads(out4)["result"]
-        if not (code1 == code4 and result1 == result4 and witness1 == witness4):
-            notes.append("--jobs 1 vs --jobs 4 diverge")
-    detail = "; ".join(notes) if notes else "3-run byte identity and jobs {1,4} result identity hold"
-    _report(9, not notes, detail)
+    _run(9, tmp_path)

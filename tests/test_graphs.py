@@ -8,7 +8,6 @@ import pytest
 from gallai_forge.graphs import (
     ColoredCompleteGraph,
     GcgFormatError,
-    PartialColoring,
     decode,
     encode,
     iter_bits,
@@ -145,6 +144,8 @@ def test_decode_single_vertex():
         ("gcg 1\n3 1\n1 1\n1 1\n", 3, "row 1"),
         ("gcg 1\n3 1\n1\n1 2\n", 4, "range"),
         ("gcg 1\n2 1\n1\nextra\n", 4, "unexpected data"),
+        ("gcg 1\n2 2\n\u00b2\n", 3, "integer"),
+        ("gcg 1\n2 70000\n1\n", 2, "color count"),
     ],
 )
 def test_decode_errors_carry_position(text, line, needle):
@@ -168,42 +169,3 @@ def test_new_uniform():
     assert set(g.edge_colors()) == {2}
     with pytest.raises(ValueError):
         new_uniform(3, 4, 3)
-
-
-def test_partial_coloring_assign_unassign():
-    pc = PartialColoring(5, 2)
-    assert pc.color_of(0, 1) is None
-    assert not pc.is_complete()
-    pc.assign(0, 1, 1)
-    pc.assign(2, 1, 2)
-    assert pc.color_of(1, 0) == 1
-    assert pc.deg[2][1] == 1
-    assert pc.masks[1][1] == 0b1
-    pc.unassign(2, 1)
-    assert pc.color_of(2, 1) is None
-    assert pc.deg[2][1] == 0
-    assert pc.masks[2][1] == 0
-    with pytest.raises(ValueError):
-        pc.assign(0, 1, 2)  # already assigned
-    with pytest.raises(ValueError):
-        pc.unassign(3, 4)  # not assigned
-
-
-def test_partial_coloring_complete_and_filled():
-    pc = PartialColoring(3, 2)
-    pc.assign(1, 0, 1)
-    g = pc.filled(2)
-    assert g.color_of(1, 0) == 1
-    assert g.color_of(2, 0) == 2
-    pc.assign(2, 0, 1)
-    pc.assign(2, 1, 2)
-    assert pc.is_complete()
-    full = pc.to_complete()
-    assert tuple(full.edge_colors()) == (1, 1, 2)
-
-
-def test_partial_filled_can_widen_palette():
-    pc = PartialColoring(3, 2)
-    g = pc.filled(5)
-    assert g.k == 5
-    assert set(g.edge_colors()) == {5}

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from gallai_forge.graphs import ColoredCompleteGraph, PartialColoring, encode, tri_unindex
+from gallai_forge.graphs import ColoredCompleteGraph, encode
 from gallai_forge.patterns import Pattern, brute_force_find, contains_pattern
 from gallai_forge.search import (
     BudgetExhausted,
@@ -57,11 +57,9 @@ def test_every_prune_is_justified():
         unjustified = []
 
         def on_prune(prefix_colors, edge, color, pa=pa, pb=pb, n=n):
-            pc = PartialColoring(n, 2)
-            for i, c in enumerate(prefix_colors):
-                u, v = tri_unindex(i)
-                pc.assign(u, v, c)
-            g = pc.filled(3)
+            # the search assigns edges in tri_index order; color 3 fills the rest
+            total = n * (n - 1) // 2
+            g = ColoredCompleteGraph(n, 3, [*prefix_colors, *[3] * (total - len(prefix_colors))])
             target = pa if color == 1 else pb
             if brute_force_find(g, target, color) is None:
                 unjustified.append((prefix_colors, edge, color))
