@@ -76,9 +76,6 @@ class UniformRecipe:
     n: int
     c: int
 
-    def order(self) -> int:
-        return self.n
-
     def build(self) -> ColoredCompleteGraph:
         return new_uniform(self.n, self.c, self.c)
 
@@ -92,9 +89,6 @@ class TwoCliqueRecipe:
     c_in: int
     c_between: int
 
-    def order(self) -> int:
-        return 2 * self.t - 2
-
     def build(self) -> ColoredCompleteGraph:
         return two_clique_example(self.t, self.c_in, self.c_between)
 
@@ -103,28 +97,10 @@ class TwoCliqueRecipe:
 
 
 @dataclass(frozen=True)
-class PentagonRecipe:
-    c_a: int
-    c_b: int
-
-    def order(self) -> int:
-        return 5
-
-    def build(self) -> ColoredCompleteGraph:
-        return pentagon_k5(self.c_a, self.c_b)
-
-    def text(self) -> str:
-        return f"pentagon({self.c_a},{self.c_b})"
-
-
-@dataclass(frozen=True)
 class BlowUp5Recipe:
     child: "ConstructionRecipe"
     c_a: int
     c_b: int
-
-    def order(self) -> int:
-        return 5 * self.child.order()
 
     def build(self) -> ColoredCompleteGraph:
         return blow_up_5(self.child.build(), self.c_a, self.c_b)
@@ -133,7 +109,7 @@ class BlowUp5Recipe:
         return f"blowup5({self.child.text()},{self.c_a},{self.c_b})"
 
 
-ConstructionRecipe = Union[UniformRecipe, TwoCliqueRecipe, PentagonRecipe, BlowUp5Recipe]
+ConstructionRecipe = Union[UniformRecipe, TwoCliqueRecipe, BlowUp5Recipe]
 
 
 def lower_bound_recipe(t: int, k: int) -> ConstructionRecipe:

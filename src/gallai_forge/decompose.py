@@ -53,31 +53,6 @@ class GallaiPartition:
         }
 
 
-class _DisjointSet:
-    """Union-find with union by size and path compression."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-
 def _components_outside(square: np.ndarray, color_set: tuple[int, ...]) -> tuple[np.ndarray, int]:
     adj = ~np.isin(square, color_set)
     np.fill_diagonal(adj, False)
@@ -89,8 +64,8 @@ def _merge_bichromatic(square: np.ndarray, labels: np.ndarray, count: int) -> tu
     """Merge parts until every pair is joined by a single color.
 
     Merging is forced and monotone (a bichromatic pair stays bichromatic when
-    either side grows), so the fixpoint does not depend on merge order; all
-    offending pairs of one round are merged together.
+    either side grows), so the fixpoint does not depend on merge order; each
+    round merges the components of the graph of all offending part pairs.
     """
     n = square.shape[0]
     iu, iv = np.triu_indices(n, 1)
@@ -110,24 +85,28 @@ def _merge_bichromatic(square: np.ndarray, labels: np.ndarray, count: int) -> tu
         offending = np.nonzero(cmin < cmax)[0]
         if offending.size == 0:
             break
-        dsu = _DisjointSet(count)
-        for pid in offending:
-            dsu.union(int(pid) // count, int(pid) % count)
-        roots = np.array([dsu.find(r) for r in range(count)])
-        uniq, renum = np.unique(roots, return_inverse=True)
-        labels = renum[labels]
-        count = len(uniq)
-    return labels, count
+        joins = csr_matrix((np.ones(offending.size, dtype=bool), divmod(offending, count)), shape=(count, count))
+        count, merged = connected_components(joins, directed=False)
+        labels = merged[labels]
+    return labels, int(count)
 
 
-def _package(graph: ColoredCompleteGraph, labels: np.ndarray, count: int) -> GallaiPartition:
-    members = [np.nonzero(labels == r)[0] for r in range(count)]
+def _quotient_square(m: int, quotient_color: dict) -> np.ndarray:
+    """m-by-m matrix of the colors joining the parts, zero on the diagonal.
+    Wide enough that a hand-built color outside uint16 compares unequal."""
+    q = np.zeros((m, m), dtype=np.int64)
+    for (i, j), color in quotient_color.items():
+        q[i, j] = q[j, i] = color
+    return q
+
+
+def _package(square: np.ndarray, labels: np.ndarray, count: int) -> GallaiPartition:
+    members = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
     members.sort(key=lambda ix: int(ix[0]))
-    parts = tuple(tuple(int(v) for v in ix) for ix in members)
-    square = graph.as_square()
-    quotient = {}
-    for i, j in combinations(range(count), 2):
-        quotient[(i, j)] = int(square[parts[i][0], parts[j][0]])
+    reps = [int(ix[0]) for ix in members]
+    block = square[np.ix_(reps, reps)]
+    quotient = {(i, j): int(block[i, j]) for i, j in combinations(range(count), 2)}
+    parts = tuple(tuple(ix.tolist()) for ix in members)
     return GallaiPartition(parts, quotient, frozenset(quotient.values()))
 
 
@@ -155,7 +134,7 @@ def gallai_partition(graph: ColoredCompleteGraph) -> GallaiPartition:
         labels, count = _merge_bichromatic(square, labels, count)
         if count < 2:
             continue
-        partition = _package(graph, labels, count)
+        partition = _package(square, labels, count)
         ok, why = validate_partition(graph, partition)
         if not ok:
             raise InternalExhaustion(f"extracted partition fails validation: {why}")
@@ -169,32 +148,31 @@ def validate_partition(graph: ColoredCompleteGraph, partition: GallaiPartition) 
     m = len(parts)
     if m < 2:
         return False, f"{m} part(s), need at least 2"
-    seen: set[int] = set()
+    labels = np.full(graph.n, -1, dtype=np.intp)
     for index, part in enumerate(parts):
         if len(part) == 0:
             return False, f"part {index} is empty"
         for v in part:
             if not 0 <= v < graph.n:
                 return False, f"part {index} contains out-of-range vertex {v}"
-            if v in seen:
+            if labels[v] >= 0:
                 return False, f"vertex {v} appears in more than one part"
-            seen.add(v)
-    if len(seen) != graph.n:
-        missing = min(set(range(graph.n)) - seen)
-        return False, f"vertex {missing} is not covered"
-    want_keys = set(combinations(range(m), 2))
-    if set(partition.quotient_color) != want_keys:
+            labels[v] = index
+    if (labels < 0).any():
+        return False, f"vertex {int(np.argmax(labels < 0))} is not covered"
+    if set(partition.quotient_color) != set(combinations(range(m), 2)):
         return False, "quotient does not cover exactly the part pairs"
+    # every cross-part entry once, u in the lower-numbered part, row-major
     square = graph.as_square()
-    for (i, j), color in partition.quotient_color.items():
-        block = square[np.ix_(parts[i], parts[j])]
-        if not (block == color).all():
-            u = parts[i][int(np.nonzero(block != color)[0][0])]
-            v = parts[j][int(np.nonzero(block != color)[1][0])]
-            return False, (
-                f"edge {{{u}, {v}}} between parts {i} and {j} has color "
-                f"{graph.color_of(u, v)}, quotient says {color}"
-            )
+    q = _quotient_square(m, partition.quotient_color)
+    wrong = (square != q[labels][:, labels]) & (labels[:, None] < labels[None, :])
+    if wrong.any():
+        u, v = (int(x) for x in np.unravel_index(np.argmax(wrong), wrong.shape))
+        i, j = int(labels[u]), int(labels[v])
+        return False, (
+            f"edge {{{u}, {v}}} between parts {i} and {j} has color "
+            f"{int(square[u, v])}, quotient says {partition.quotient_color[(i, j)]}"
+        )
     between = frozenset(partition.quotient_color.values())
     if between != partition.between_colors:
         return False, "between_colors does not match the quotient colors"
@@ -210,7 +188,4 @@ def reduced_graph(graph: ColoredCompleteGraph, partition: GallaiPartition) -> Co
     if not ok:
         raise ValueError(f"not a valid partition of the graph: {why}")
     m = len(partition.parts)
-    sq = np.zeros((m, m), dtype=np.uint16)
-    for (i, j), color in partition.quotient_color.items():
-        sq[i, j] = sq[j, i] = color
-    return ColoredCompleteGraph.from_square(m, graph.k, sq)
+    return ColoredCompleteGraph.from_square(m, graph.k, _quotient_square(m, partition.quotient_color))

@@ -224,7 +224,10 @@ def decode(text: str) -> ColoredCompleteGraph:
     if not 1 <= k <= MAX_COLOR:
         raise GcgFormatError(line_no, tokens[1][1], f"color count must be in 1..{MAX_COLOR}, got {k}")
 
-    tri = np.empty(n * (n - 1) // 2, dtype=np.uint16)
+    # the header is untrusted: allocate no more entries than there are color
+    # tokens, so a huge declared n fails at the first missing row instead
+    present = sum(len(tokens) for _, tokens in significant[2:])
+    tri = np.empty(min(n * (n - 1) // 2, present), dtype=np.uint16)
     at = 0
     for i in range(1, n):
         line_no, tokens = need(1 + i, f"row {i}")

@@ -17,11 +17,15 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from .formulas import linear_claim, size_three_divergence
 from .graphs import ColoredCompleteGraph
 from .patterns import Pattern, contains_pattern
+
+# edges fixed before the tree is cut into prefix subtrees
+SPLIT_DEPTH = 6
 
 
 @dataclass(frozen=True)
@@ -205,7 +209,7 @@ def _explore(n, p_red, p_blue, prefix, depth_stop, first_only, cap, deadline, on
     truncated = None
     level = base
     check_time = deadline is not None
-    clock = time.time
+    clock = time.monotonic
     while True:
         if level == depth_stop:
             results.append(tuple(col[:depth_stop]))
@@ -257,17 +261,9 @@ def _explore(n, p_red, p_blue, prefix, depth_stop, first_only, cap, deadline, on
 
 
 def _subtree_task(args):
-    n, red_kind, red_size, blue_kind, blue_size, prefix, cap, deadline = args
+    n, p_red, p_blue, prefix, cap, deadline, on_prune = args
     results, nodes, prunes, truncated = _explore(
-        n,
-        Pattern(red_kind, red_size),
-        Pattern(blue_kind, blue_size),
-        prefix,
-        n * (n - 1) // 2,
-        True,
-        cap,
-        deadline,
-        None,
+        n, p_red, p_blue, prefix, n * (n - 1) // 2, True, cap, deadline, on_prune
     )
     return (results[0] if results else None, nodes, prunes, truncated)
 
@@ -283,7 +279,6 @@ def search_two_color(
     p_blue: Pattern,
     budget: SearchBudget | None = None,
     jobs: int = 1,
-    split_depth: int = 6,
     on_prune=None,
 ) -> SearchOutcome:
     """Decide whether some 2-coloring of K_n avoids ``p_red`` in color 1 and
@@ -295,8 +290,6 @@ def search_two_color(
         raise ValueError(f"need n >= 1, got {n}")
     if jobs < 1:
         raise ValueError(f"need jobs >= 1, got {jobs}")
-    if split_depth < 1:
-        raise ValueError(f"need split_depth >= 1, got {split_depth}")
     if on_prune is not None and jobs > 1:
         raise ValueError("prune callbacks only run in-process; use jobs=1")
     _check_target(p_red)
@@ -304,14 +297,14 @@ def search_two_color(
     started = time.perf_counter()
     cap = budget.max_nodes if budget is not None and budget.max_nodes is not None else float("inf")
     deadline = (
-        time.time() + budget.max_time if budget is not None and budget.max_time is not None else None
+        time.monotonic() + budget.max_time if budget is not None and budget.max_time is not None else None
     )
     total = n * (n - 1) // 2
     if total == 0:
         witness = ColoredCompleteGraph(1, 2, [])
         return SearchOutcome("witness", witness, 0, 0, time.perf_counter() - started)
 
-    depth = min(split_depth, total - 1) if total > 1 else 0
+    depth = min(SPLIT_DEPTH, total - 1) if total > 1 else 0
     prefixes, acc_nodes, acc_prunes, truncated = _explore(
         n, p_red, p_blue, (), depth, False, cap, deadline, on_prune
     )
@@ -319,45 +312,25 @@ def search_two_color(
         raise BudgetExhausted(truncated, cap if truncated == "nodes" else acc_nodes)
 
     witness_colors = None
-    if jobs == 1 or len(prefixes) <= 1:
-        for prefix in prefixes:
-            results, nodes, prunes, truncated = _explore(
-                n, p_red, p_blue, prefix, total, True, cap - acc_nodes, deadline, on_prune
-            )
-            acc_nodes += nodes
-            acc_prunes += prunes
-            if truncated is not None:
-                raise BudgetExhausted(truncated, cap if truncated == "nodes" else acc_nodes)
-            if results:
-                witness_colors = results[0]
-                break
-    else:
-        target_args = (p_red.kind, p_red.size, p_blue.kind, p_blue.size)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for wave_start in range(0, len(prefixes), jobs):
-                wave = prefixes[wave_start : wave_start + jobs]
-                # every task in a wave gets the full remaining cap; the
-                # in-order fold below restores exact sequential accounting
-                wave_cap = cap - acc_nodes
-                futures = [
-                    pool.submit(_subtree_task, (n, *target_args, prefix, wave_cap, deadline))
-                    for prefix in wave
-                ]
-                for future in futures:
-                    found, nodes, prunes, truncated = future.result()
-                    acc_nodes += nodes
-                    acc_prunes += prunes
-                    if truncated == "time" or (truncated == "nodes" and acc_nodes >= cap):
-                        raise BudgetExhausted(
-                            truncated, cap if truncated == "nodes" else acc_nodes
-                        )
-                    if acc_nodes > cap:
-                        raise BudgetExhausted("nodes", cap)
-                    if found is not None:
-                        witness_colors = found
-                        break
-                if witness_colors is not None:
+    pooled = jobs > 1 and len(prefixes) > 1
+    with ProcessPoolExecutor(max_workers=jobs) if pooled else nullcontext() as pool:
+        for wave_start in range(0, len(prefixes), jobs):
+            wave = prefixes[wave_start : wave_start + jobs]
+            # every task in a wave gets the full remaining cap; the in-order
+            # fold below restores exact sequential accounting
+            tasks = [(n, p_red, p_blue, prefix, cap - acc_nodes, deadline, on_prune) for prefix in wave]
+            for found, nodes, prunes, truncated in (pool.map if len(wave) > 1 else map)(_subtree_task, tasks):
+                acc_nodes += nodes
+                acc_prunes += prunes
+                if truncated == "time":
+                    raise BudgetExhausted("time", acc_nodes)
+                if acc_nodes > cap:
+                    raise BudgetExhausted("nodes", cap)
+                if found is not None:
+                    witness_colors = found
                     break
+            if witness_colors is not None:
+                break
 
     wall = time.perf_counter() - started
     if witness_colors is None:
@@ -375,7 +348,6 @@ def ramsey_number(
     n_max: int,
     budget: SearchBudget | None = None,
     jobs: int = 1,
-    split_depth: int = 6,
 ) -> RamseyCertificate:
     """Smallest n <= n_max whose search is exhausted, certified by the
     extremal witness at n - 1.  Each order gets the full budget."""
@@ -383,7 +355,7 @@ def ramsey_number(
         raise ValueError(f"need n_max >= 2, got {n_max}")
     previous: SearchOutcome | None = None
     for n in range(2, n_max + 1):
-        outcome = search_two_color(n, p_a, p_b, budget=budget, jobs=jobs, split_depth=split_depth)
+        outcome = search_two_color(n, p_a, p_b, budget=budget, jobs=jobs)
         if outcome.verdict == "exhausted":
             witness = previous.witness if previous is not None else ColoredCompleteGraph(1, 2, [])
             for p, color in ((p_a, 1), (p_b, 2)):

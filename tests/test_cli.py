@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 
@@ -9,6 +8,7 @@ import pytest
 
 from gallai_forge.cli import main
 from gallai_forge.graphs import decode
+from gallai_forge.repro import _child_env
 
 
 def run_cli(capsys, *argv):
@@ -41,6 +41,7 @@ def test_construct_missing_required_flag_exits_2():
         [sys.executable, "-m", "gallai_forge.cli", "construct", "--family", "star-plus", "-k", "3"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 2
     assert proc.stdout == ""  # usage errors from the parser go to stderr
@@ -228,6 +229,7 @@ def test_stdout_is_sorted_stable_json(capsys, tmp_path):
          "-t", "4", "-k", "1", "-o", str(tmp_path / "y.gcg")],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     report = json.loads(proc.stdout)
     keys = list(report)

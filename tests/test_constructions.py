@@ -6,7 +6,6 @@ import pytest
 
 from gallai_forge.constructions import (
     BlowUp5Recipe,
-    PentagonRecipe,
     TwoCliqueRecipe,
     UniformRecipe,
     blow_up_5,
@@ -80,11 +79,9 @@ def test_recipes_build_and_describe():
     cases = [
         (UniformRecipe(3, 1), 3, "uniform(3,1)"),
         (TwoCliqueRecipe(4, 1, 2), 6, "twoclique(4,1,2)"),
-        (PentagonRecipe(1, 2), 5, "pentagon(1,2)"),
         (BlowUp5Recipe(UniformRecipe(3, 1), 2, 3), 15, "blowup5(uniform(3,1),2,3)"),
     ]
     for recipe, order, text in cases:
-        assert recipe.order() == order
         assert recipe.text() == text
         assert recipe.build().n == order
 

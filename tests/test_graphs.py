@@ -146,6 +146,7 @@ def test_decode_single_vertex():
         ("gcg 1\n2 1\n1\nextra\n", 4, "unexpected data"),
         ("gcg 1\n2 2\n\u00b2\n", 3, "integer"),
         ("gcg 1\n2 70000\n1\n", 2, "color count"),
+        ("gcg 1\n1000000000 2\n1\n", 4, "unexpected end of input"),
     ],
 )
 def test_decode_errors_carry_position(text, line, needle):

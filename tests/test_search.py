@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from gallai_forge import search
 from gallai_forge.graphs import ColoredCompleteGraph, encode
 from gallai_forge.patterns import Pattern, brute_force_find, contains_pattern
 from gallai_forge.search import (
@@ -89,8 +90,6 @@ def test_argument_validation():
     with pytest.raises(ValueError):
         search_two_color(4, TRI, TRI, jobs=0)
     with pytest.raises(ValueError):
-        search_two_color(4, TRI, TRI, split_depth=0)
-    with pytest.raises(ValueError):
         search_two_color(4, TRI, TRI, jobs=2, on_prune=lambda *a: None)
     with pytest.raises(ValueError):
         search_two_color(4, Pattern.star(1), TRI)
@@ -126,18 +125,21 @@ def test_time_budget_reports():
     assert exc.value.nodes > 0
 
 
-def test_split_depth_does_not_change_answers():
+def test_split_depth_does_not_change_answers(monkeypatch):
     # the witness and verdict never depend on the work-splitting depth; node
     # counters do on witness runs (deeper splits enumerate more prefixes
     # before the first-hit scan), so counters are pinned only when exhausted
     baseline = search_two_color(6, SP4, SP4)
     for depth in (1, 2, 3, 8, 15):
-        out = search_two_color(6, SP4, SP4, split_depth=depth)
+        monkeypatch.setattr(search, "SPLIT_DEPTH", depth)
+        out = search_two_color(6, SP4, SP4)
         assert out.verdict == "witness"
         assert encode(out.witness) == encode(baseline.witness)
+    monkeypatch.undo()
     exhausted = search_two_color(7, SP4, SP4)
     for depth in (1, 4, 21):
-        out = search_two_color(7, SP4, SP4, split_depth=depth)
+        monkeypatch.setattr(search, "SPLIT_DEPTH", depth)
+        out = search_two_color(7, SP4, SP4)
         assert (out.verdict, out.nodes, out.prunes) == ("exhausted", exhausted.nodes, exhausted.prunes)
 
 
