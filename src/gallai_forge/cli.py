@@ -316,10 +316,7 @@ def main(argv=None) -> int:
     except GcgFormatError as exc:
         inputs = getattr(args, "echo", {})
         result, code = {"error": f"malformed input: {exc}"}, 2
-    except OSError as exc:
-        inputs = getattr(args, "echo", {})
-        result, code = {"error": str(exc)}, 2
-    except ValueError as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         inputs = getattr(args, "echo", {})
         result, code = {"error": str(exc)}, 2
     except BudgetExhausted as exc:

@@ -1,7 +1,9 @@
 """Detection of rainbow triangles and small monochromatic subgraphs.
 
-Two detection routes exist on purpose.  The find_* / contains_pattern
-functions are the fast path, built on per-color neighbor bitmasks.
+Two detection routes exist on purpose.  find_rainbow_triangle and
+contains_pattern are the fast path, built on per-color neighbor bitmasks;
+every monochromatic embedding, here and in the search, goes through one
+plan builder (_plan) and one walker (_walk), except the star-plus scan.
 brute_force_find enumerates vertex subsets and role assignments straight
 from the definitions and is kept independent so the two can be checked
 against each other.
@@ -9,6 +11,7 @@ against each other.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -146,14 +149,59 @@ def find_rainbow_triangle(graph: ColoredCompleteGraph) -> WitnessEmbedding | Non
     return None
 
 
-def find_mono_star_plus(graph: ColoredCompleteGraph, t: int, c: int | None = None) -> WitnessEmbedding | None:
-    """Star on t vertices plus one edge between two of its leaves, all in one
-    color: a center with >= t-1 same-colored neighbors, two of them adjacent
-    in that color.  First witness in (color, center, leaf) ascending order."""
-    if t < 3:
-        raise ValueError(f"need t >= 3, got {t}")
-    need = t - 1
-    for cc in _color_range(graph, c):
+@functools.cache
+def _plan(p: Pattern, seeds: tuple[int, ...] = ()) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+    """Order in which the walker places the roles not in ``seeds``: next is
+    the lowest-numbered unplaced role with a placed pattern neighbor (role 0
+    first when nothing is seeded).  Each step is (role, its placed pattern
+    neighbors, its latest-placed twin or -1).  Twins are roles with the same
+    pattern neighbors apart from each other; swapping two is an automorphism,
+    so the walker may put a later twin above an earlier one without losing
+    any copy.  Seeds take no part in twin ordering."""
+    nbrs: list[list[int]] = [[] for _ in range(p.size)]
+    for i, j in p.edges():
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    placed = list(seeds)
+    steps = []
+    while len(placed) < p.size:
+        q = next(
+            q for q in range(p.size) if q not in placed and (not placed or any(r in placed for r in nbrs[q]))
+        )
+        walked = placed[len(seeds) :]
+        twin = next((r for r in reversed(walked) if set(nbrs[q]) - {r} == set(nbrs[r]) - {q}), -1)
+        steps.append((q, tuple(r for r in nbrs[q] if r in placed), twin))
+        placed.append(q)
+    return tuple(steps)
+
+
+def _walk(steps, d: int, assign, used: int, adj: list[int]) -> bool:
+    """Place the roles of steps[d:] depth-first, lowest vertex first, on the
+    color whose neighbor masks are ``adj``.  ``assign`` maps the placed roles
+    to vertices and is left holding the first completion found."""
+    if d == len(steps):
+        return True
+    pos, prevs, twin = steps[d]
+    cand = adj[assign[prevs[0]]]
+    for q in prevs[1:]:
+        cand &= adj[assign[q]]
+    cand &= ~used
+    if twin >= 0:
+        cand &= -(2 << assign[twin])
+    while cand:
+        low = cand & -cand
+        assign[pos] = low.bit_length() - 1
+        if _walk(steps, d + 1, assign, used | low, adj):
+            return True
+        cand ^= low
+    return False
+
+
+def _star_plus_scan(graph: ColoredCompleteGraph, p: Pattern, colors) -> WitnessEmbedding | None:
+    # a center with >= t-1 same-colored neighbors, two of them adjacent in
+    # that color; much faster than the walker on large clean inputs
+    need = p.size - 1
+    for cc in colors:
         masks = graph.color_masks(cc)
         for v in range(graph.n):
             mv = masks[v]
@@ -169,144 +217,32 @@ def find_mono_star_plus(graph: ColoredCompleteGraph, t: int, c: int | None = Non
                             break
                         if x != u and x != w:
                             leaves.append(x)
-                    return WitnessEmbedding(Pattern.star_plus(t), cc, (v, *leaves))
-    return None
-
-
-def _extend_path(masks: list[int], v: int, steps: int, used: int) -> tuple[int, ...] | None:
-    if steps == 0:
-        return ()
-    cand = masks[v] & ~used
-    for w in iter_bits(cand):
-        rest = _extend_path(masks, w, steps - 1, used | (1 << w))
-        if rest is not None:
-            return (w, *rest)
-    return None
-
-
-def find_mono_path_plus(graph: ColoredCompleteGraph, t: int, c: int | None = None) -> WitnessEmbedding | None:
-    """Path on t vertices plus an edge joining one end to the vertex two
-    steps in, all in one color.  Enumerates monochromatic triangles in
-    ascending order, then grows the tail by depth-first search."""
-    if t < 3:
-        raise ValueError(f"need t >= 3, got {t}")
-    tail = t - 3
-    for cc in _color_range(graph, c):
-        masks = graph.color_masks(cc)
-        for x in range(graph.n):
-            mx = masks[x]
-            for y in iter_bits(mx):
-                if y <= x:
-                    continue
-                common = mx & masks[y]
-                for z in iter_bits(common):
-                    if z <= y:
-                        continue
-                    for v3 in (x, y, z):
-                        v1, v2 = sorted({x, y, z} - {v3})
-                        rest = _extend_path(masks, v3, tail, (1 << x) | (1 << y) | (1 << z))
-                        if rest is not None:
-                            return WitnessEmbedding(Pattern.path_plus(t), cc, (v1, v2, v3, *rest))
-    return None
-
-
-def _cycle_dfs(masks: list[int], start: int, cur: int, steps: int, used: int) -> tuple[int, ...] | None:
-    if steps == 0:
-        return () if (masks[cur] >> start) & 1 else None
-    # later cycle vertices must exceed the start, which is the cycle minimum
-    cand = masks[cur] & ~used & ~((1 << (start + 1)) - 1)
-    for w in iter_bits(cand):
-        rest = _cycle_dfs(masks, start, w, steps - 1, used | (1 << w))
-        if rest is not None:
-            return (w, *rest)
-    return None
-
-
-def find_mono_cycle(graph: ColoredCompleteGraph, m: int, c: int | None = None) -> WitnessEmbedding | None:
-    """Cycle on exactly m vertices in one color, found by backtracking from
-    each start vertex in ascending order."""
-    if m < 3:
-        raise ValueError(f"need m >= 3, got {m}")
-    if m > graph.n:
-        return None
-    for cc in _color_range(graph, c):
-        masks = graph.color_masks(cc)
-        for s in range(graph.n - m + 1):
-            rest = _cycle_dfs(masks, s, s, m - 1, 1 << s)
-            if rest is not None:
-                return WitnessEmbedding(Pattern.cycle(m), cc, (s, *rest))
-    return None
-
-
-def _first_vertex_witness(graph: ColoredCompleteGraph, p: Pattern, c: int | None) -> WitnessEmbedding:
-    # a single vertex carries no edges, so any color claim holds vacuously
-    return WitnessEmbedding(p, c if c is not None else 1, (0,))
-
-
-def _clique_dfs(masks: list[int], cand: int, need: int) -> tuple[int, ...] | None:
-    if need == 0:
-        return ()
-    for w in iter_bits(cand):
-        rest = _clique_dfs(masks, cand & masks[w] & ~((1 << (w + 1)) - 1), need - 1)
-        if rest is not None:
-            return (w, *rest)
-    return None
-
-
-def _find_clique(graph: ColoredCompleteGraph, s: int, c: int | None) -> WitnessEmbedding | None:
-    if s == 1:
-        return _first_vertex_witness(graph, Pattern.clique(1), c)
-    if s > graph.n:
-        return None
-    full = (1 << graph.n) - 1
-    for cc in _color_range(graph, c):
-        found = _clique_dfs(graph.color_masks(cc), full, s)
-        if found is not None:
-            return WitnessEmbedding(Pattern.clique(s), cc, found)
-    return None
-
-
-def _find_star(graph: ColoredCompleteGraph, t: int, c: int | None) -> WitnessEmbedding | None:
-    if t == 1:
-        return _first_vertex_witness(graph, Pattern.star(1), c)
-    need = t - 1
-    for cc in _color_range(graph, c):
-        masks = graph.color_masks(cc)
-        for v in range(graph.n):
-            if masks[v].bit_count() >= need:
-                leaves = list(itertools.islice(iter_bits(masks[v]), need))
-                return WitnessEmbedding(Pattern.star(t), cc, (v, *leaves))
-    return None
-
-
-def _find_path(graph: ColoredCompleteGraph, t: int, c: int | None) -> WitnessEmbedding | None:
-    if t == 1:
-        return _first_vertex_witness(graph, Pattern.path(1), c)
-    if t > graph.n:
-        return None
-    for cc in _color_range(graph, c):
-        masks = graph.color_masks(cc)
-        for v in range(graph.n):
-            rest = _extend_path(masks, v, t - 1, 1 << v)
-            if rest is not None:
-                return WitnessEmbedding(Pattern.path(t), cc, (v, *rest))
+                    return WitnessEmbedding(p, cc, (v, *leaves))
     return None
 
 
 def contains_pattern(graph: ColoredCompleteGraph, p: Pattern, c: int | None = None) -> WitnessEmbedding | None:
-    """Dispatch to the fast detector for the pattern's kind.  With c=None all
-    colors 1..k are tried in ascending order."""
+    """First monochromatic copy of ``p``, in color ``c`` or, with c=None, in
+    colors 1..k tried in ascending order.  The witness is the
+    lexicographically first embedding (v_0, ..., v_{size-1}) in the canonical
+    role order of Pattern within the first color that has one."""
+    colors = _color_range(graph, c)
     if p.kind == "star-plus":
-        return find_mono_star_plus(graph, p.size, c)
-    if p.kind == "path-plus":
-        return find_mono_path_plus(graph, p.size, c)
-    if p.kind == "cycle":
-        return find_mono_cycle(graph, p.size, c)
-    if p.kind == "clique":
-        return _find_clique(graph, p.size, c)
-    if p.kind == "star":
-        return _find_star(graph, p.size, c)
-    return _find_path(graph, p.size, c)
+        return _star_plus_scan(graph, p, colors)
+    if p.size > graph.n:
+        return None
+    # the canonical role order is the plan order, so the depth-first walk
+    # meets embeddings in lexicographic order
+    steps = _plan(p)
+    need = sum(0 in prevs for _, prevs, _ in steps)  # role 0's pattern degree
+    for cc in colors:
+        masks = graph.color_masks(cc)
+        for v in range(graph.n):
+            if masks[v].bit_count() >= need:
+                assign = [v] * p.size
+                if _walk(steps, 1, assign, 1 << v, masks):
+                    return WitnessEmbedding(p, cc, tuple(assign))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -392,13 +328,12 @@ def brute_force_find(graph: ColoredCompleteGraph, p: Pattern, c: int | None = No
         raise ValueError(f"oracle guard: pattern order {p.size} exceeds {ORACLE_MAX_PATTERN}")
     if graph.n > ORACLE_MAX_HOST:
         raise ValueError(f"oracle guard: host order {graph.n} exceeds {ORACLE_MAX_HOST}")
+    colors = _color_range(graph, c)
     if p.size > graph.n:
         return None
-    if p.size == 1:
-        return _first_vertex_witness(graph, p, c)
     colorof = graph.color_of
     roles = _ROLE_FINDERS[p.kind]
-    for cc in _color_range(graph, c):
+    for cc in colors:
         for subset in itertools.combinations(range(graph.n), p.size):
             found = roles(colorof, subset, cc)
             if found is not None:

@@ -31,7 +31,6 @@ from .patterns import (
     Pattern,
     brute_force_find,
     contains_pattern,
-    find_mono_star_plus,
     find_rainbow_triangle,
     verify_witness,
 )
@@ -258,7 +257,7 @@ def _c8_upper_bound(ctx: ReproContext):
     for i in range(samples):
         seed = base + i
         graph = random_gallai(16, 3, seed)
-        if find_mono_star_plus(graph, 4) is None:
+        if contains_pattern(graph, Pattern.star_plus(4)) is None:
             path = os.path.join(ctx.out_dir, f"counterexample-order16-seed{seed}.gcg")
             _write(path, encode(graph))
             return "fail", f"seed {seed} avoids the order-4 target in all 3 colors; saved to {path}"

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .formulas import linear_claim, size_three_divergence
 from .graphs import ColoredCompleteGraph
-from .patterns import Pattern, contains_pattern
+from .patterns import Pattern, _plan, _walk, contains_pattern
 
 # edges fixed before the tree is cut into prefix subtrees
 SPLIT_DEPTH = 6
@@ -76,44 +76,6 @@ class RamseyCertificate:
     exhausted_outcome: SearchOutcome
 
 
-def _anchor_plans(p: Pattern):
-    # one plan per pattern edge: place the remaining role positions outward
-    # from that edge, each position constrained by its already-placed
-    # pattern neighbors
-    edges = p.edges()
-    nbrs: list[list[int]] = [[] for _ in range(p.size)]
-    for i, j in edges:
-        nbrs[i].append(j)
-        nbrs[j].append(i)
-    plans = []
-    for i, j in edges:
-        placed = [i, j]
-        steps = []
-        while len(placed) < p.size:
-            q = next(q for q in range(p.size) if q not in placed and any(r in placed for r in nbrs[q]))
-            steps.append((q, tuple(r for r in nbrs[q] if r in placed)))
-            placed.append(q)
-        plans.append((i, j, tuple(steps)))
-    return plans
-
-
-def _anchored(steps, d: int, assign: dict, used: int, adj: list) -> bool:
-    if d == len(steps):
-        return True
-    pos, prevs = steps[d]
-    cand = adj[assign[prevs[0]]]
-    for q in prevs[1:]:
-        cand &= adj[assign[q]]
-    cand &= ~used
-    while cand:
-        low = cand & -cand
-        assign[pos] = low.bit_length() - 1
-        if _anchored(steps, d + 1, assign, used | low, adj):
-            return True
-        cand ^= low
-    return False
-
-
 def _make_checker(p: Pattern, adj: list, deg: list):
     """Build hit(u, v): does a copy of ``p`` through the just-assigned edge
     {u, v} exist in the color whose adjacency ``adj``/``deg`` describe?"""
@@ -160,14 +122,15 @@ def _make_checker(p: Pattern, adj: list, deg: list):
 
         return hit_star_plus
 
-    plans = _anchor_plans(p)
+    # place the remaining roles outward from each pattern edge in turn
+    plans = [(a, b, _plan(p, (a, b))) for a, b in p.edges()]
 
     def hit_generic(u: int, v: int) -> bool:
         pair = (1 << u) | (1 << v)
         for a, b, steps in plans:
-            if _anchored(steps, 0, {a: u, b: v}, pair, adj):
+            if _walk(steps, 0, {a: u, b: v}, pair, adj):
                 return True
-            if _anchored(steps, 0, {a: v, b: u}, pair, adj):
+            if _walk(steps, 0, {a: v, b: u}, pair, adj):
                 return True
         return False
 
@@ -357,10 +320,8 @@ def ramsey_number(
     for n in range(2, n_max + 1):
         outcome = search_two_color(n, p_a, p_b, budget=budget, jobs=jobs)
         if outcome.verdict == "exhausted":
+            # search_two_color already re-validated the witness it returned
             witness = previous.witness if previous is not None else ColoredCompleteGraph(1, 2, [])
-            for p, color in ((p_a, 1), (p_b, 2)):
-                if contains_pattern(witness, p, color) is not None:
-                    raise RuntimeError("internal: extremal witness failed re-validation")
             return RamseyCertificate(n, witness, previous, outcome)
         previous = outcome
     raise NotFoundBelowCap(f"every order up to {n_max} still admits a valid coloring")

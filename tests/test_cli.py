@@ -205,6 +205,14 @@ def test_random_is_seed_deterministic(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_random_out_of_memory_exits_2(capsys, tmp_path):
+    # numpy refuses the n x n array up front, before allocating anything
+    code, report, _ = run_cli(capsys, "random", "-n", "1000000000", "-k", "2", "-o", str(tmp_path / "r.gcg"))
+    assert code == 2 and report["exit"] == 2
+    assert "allocate" in report["result"]["error"]
+    assert not (tmp_path / "r.gcg").exists()
+
+
 def test_random_seed_from_environment(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("GALLAI_FORGE_SEED", "77")
     a = tmp_path / "a.gcg"

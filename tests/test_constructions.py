@@ -20,8 +20,6 @@ from gallai_forge.graphs import ColoredCompleteGraph, decode, encode, new_unifor
 from gallai_forge.patterns import (
     contains_pattern,
     Pattern,
-    find_mono_path_plus,
-    find_mono_star_plus,
     find_rainbow_triangle,
 )
 
@@ -124,8 +122,8 @@ def test_lower_bound_avoids_both_targets():
         for k in (1, 2, 3):
             g = lower_bound_construction(t, k)
             assert find_rainbow_triangle(g) is None, (t, k)
-            assert find_mono_star_plus(g, t) is None, (t, k)
-            assert find_mono_path_plus(g, t) is None, (t, k)
+            assert contains_pattern(g, Pattern.star_plus(t)) is None, (t, k)
+            assert contains_pattern(g, Pattern.path_plus(t)) is None, (t, k)
 
 
 def test_lower_bound_roundtrips_through_text():

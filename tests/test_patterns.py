@@ -14,9 +14,6 @@ from gallai_forge.patterns import (
     WitnessEmbedding,
     brute_force_find,
     contains_pattern,
-    find_mono_cycle,
-    find_mono_path_plus,
-    find_mono_star_plus,
     find_rainbow_triangle,
     verify_witness,
 )
@@ -50,6 +47,8 @@ def test_pattern_validation():
         Pattern("triangle", 3)  # unknown kind
     with pytest.raises(ValueError):
         Pattern.star_plus(2)
+    with pytest.raises(ValueError):
+        Pattern.path_plus(2)
     with pytest.raises(ValueError):
         Pattern.cycle(2)
     with pytest.raises(ValueError):
@@ -126,60 +125,50 @@ def test_pentagon_blowups_stay_rainbow_free():
 
 def test_star_plus_in_uniform():
     g = new_uniform(6, 2, 3)
-    w = find_mono_star_plus(g, 4)
+    w = contains_pattern(g, Pattern.star_plus(4))
     assert w is not None and w.color == 2
     assert verify_witness(g, w)
-    assert find_mono_star_plus(g, 4, 1) is None
-    assert find_mono_star_plus(g, 7) is None  # needs degree 6 on 6 vertices
-
-
-def test_star_plus_rejects_small_t():
-    g = new_uniform(4, 1, 1)
-    with pytest.raises(ValueError):
-        find_mono_star_plus(g, 2)
+    assert contains_pattern(g, Pattern.star_plus(4), 1) is None
+    assert contains_pattern(g, Pattern.star_plus(7)) is None  # needs degree 6 on 6 vertices
 
 
 def test_two_clique_avoids_order_four_targets():
     g = two_clique_example(4, 1, 2)
     for c in (1, 2):
-        assert find_mono_star_plus(g, 4, c) is None
-        assert find_mono_path_plus(g, 4, c) is None
+        assert contains_pattern(g, Pattern.star_plus(4), c) is None
+        assert contains_pattern(g, Pattern.path_plus(4), c) is None
     # order-3 targets (triangles) exist inside the cliques
-    assert find_mono_star_plus(g, 3, 1) is not None
-    assert find_mono_star_plus(g, 3, 2) is None
+    assert contains_pattern(g, Pattern.star_plus(3), 1) is not None
+    assert contains_pattern(g, Pattern.star_plus(3), 2) is None
 
 
 def test_two_clique_order_five():
     g = two_clique_example(5, 1, 2)
-    assert find_mono_star_plus(g, 5) is None
-    assert find_mono_path_plus(g, 5) is None
+    assert contains_pattern(g, Pattern.star_plus(5)) is None
+    assert contains_pattern(g, Pattern.path_plus(5)) is None
 
 
 def test_path_plus_in_uniform():
     g = new_uniform(5, 1, 1)
-    w = find_mono_path_plus(g, 5)
+    w = contains_pattern(g, Pattern.path_plus(5))
     assert w is not None and verify_witness(g, w)
-    with pytest.raises(ValueError):
-        find_mono_path_plus(g, 2)
 
 
 def test_path_plus_needs_a_triangle():
     # color 1 is the 5-cycle: has paths of any length but no triangle
     g = pentagon_k5(1, 2)
-    assert find_mono_path_plus(g, 3, 1) is None
-    assert find_mono_path_plus(g, 4, 1) is None
+    assert contains_pattern(g, Pattern.path_plus(3), 1) is None
+    assert contains_pattern(g, Pattern.path_plus(4), 1) is None
 
 
 def test_cycles_of_the_pentagon():
     g = pentagon_k5(1, 2)
     for c in (1, 2):
-        w = find_mono_cycle(g, 5, c)
+        w = contains_pattern(g, Pattern.cycle(5), c)
         assert w is not None and verify_witness(g, w)
-        assert find_mono_cycle(g, 4, c) is None
-        assert find_mono_cycle(g, 3, c) is None
-    assert find_mono_cycle(g, 6) is None  # longer than the host
-    with pytest.raises(ValueError):
-        find_mono_cycle(g, 2)
+        assert contains_pattern(g, Pattern.cycle(4), c) is None
+        assert contains_pattern(g, Pattern.cycle(3), c) is None
+    assert contains_pattern(g, Pattern.cycle(6)) is None  # longer than the host
 
 
 def test_contains_pattern_dispatch():
@@ -202,6 +191,8 @@ def test_contains_pattern_rejects_bad_color():
     g = new_uniform(4, 1, 2)
     with pytest.raises(ValueError):
         contains_pattern(g, Pattern.star(3), 3)
+    with pytest.raises(ValueError):  # single-vertex patterns check the color too
+        contains_pattern(new_uniform(3, 1, 2), Pattern.path(1), 99)
 
 
 def test_single_vertex_patterns_hold_vacuously():
@@ -234,6 +225,8 @@ def test_oracle_guards():
     small = new_uniform(4, 1, 1)
     with pytest.raises(ValueError):
         brute_force_find(small, Pattern.path(ORACLE_MAX_PATTERN + 1))
+    with pytest.raises(ValueError):
+        brute_force_find(new_uniform(3, 1, 2), Pattern.path(1), 99)
 
 
 def test_oracle_handles_oversized_patterns():
