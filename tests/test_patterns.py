@@ -132,6 +132,15 @@ def test_star_plus_in_uniform():
     assert contains_pattern(g, Pattern.star_plus(7)) is None  # needs degree 6 on 6 vertices
 
 
+def test_star_plus_rejects_small_t():
+    # t < 3 has no pendant-plus-edge shape; the pattern itself refuses it,
+    # so no star-plus search is ever asked for one
+    with pytest.raises(ValueError):
+        Pattern.star_plus(2)
+    with pytest.raises(ValueError):
+        Pattern("star-plus", 1)
+
+
 def test_two_clique_avoids_order_four_targets():
     g = two_clique_example(4, 1, 2)
     for c in (1, 2):
