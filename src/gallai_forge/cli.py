@@ -24,12 +24,10 @@ from .formulas import (
     describe_even_cycle_bounds,
     describe_gr,
     describe_ramsey,
-    linear_claim,
-    size_three_divergence,
 )
 from .graphs import GcgFormatError, decode, encode
 from .patterns import PATTERN_KINDS, Pattern, contains_pattern, find_rainbow_triangle
-from .search import BudgetExhausted, NotFoundBelowCap, SearchBudget, ramsey_number
+from .search import BudgetExhausted, NotFoundBelowCap, SearchBudget, certify_claim
 
 
 def _env_seed() -> int:
@@ -138,45 +136,25 @@ def _cmd_ramsey(args: argparse.Namespace):
         "jobs": args.jobs,
         "out-dir": args.out_dir,
     }
-    if min(s, args.t) < 3:
-        raise ValueError("pattern sizes below 3 are not meaningful targets here")
     budget = None
     if args.max_nodes is not None or args.max_seconds is not None:
         budget = SearchBudget(max_nodes=args.max_nodes, max_time=args.max_seconds)
-    expected, cap = linear_claim(s, args.t)
-    n_max = args.n_max if args.n_max is not None else cap
-    first = Pattern(args.family, s)
-    second = Pattern(args.family, args.t)
-    start = time.perf_counter()
-    certificate = ramsey_number(
-        first, second, n_max=n_max, budget=budget, jobs=args.jobs
-    )
-    elapsed = time.perf_counter() - start
-    witness_order = certificate.value - 1
+    # fail on an unusable --out-dir before the search, not after it
     os.makedirs(args.out_dir, exist_ok=True)
+    start = time.perf_counter()
+    report = certify_claim(args.family, s, args.t, n_max=args.n_max, budget=budget, jobs=args.jobs)
+    elapsed = time.perf_counter() - start
+    certificate = report.certificate
     witness_path = os.path.join(
         args.out_dir,
-        f"witness-{args.family}-s{s}-t{args.t}-order{witness_order}.gcg",
+        f"witness-{args.family}-s{s}-t{args.t}-order{certificate.witness.n}.gcg",
     )
     _write_text(witness_path, encode(certificate.witness))
-    result = {
-        "value": certificate.value,
-        "expected": expected,
-        "match": certificate.value == expected,
-        "witness_path": witness_path,
-        "witness_order": certificate.witness.n,
-        "exhaustion": {
-            "order": certificate.value,
-            "nodes": certificate.exhausted_outcome.nodes,
-            "prunes": certificate.exhausted_outcome.prunes,
-        },
-        "divergence": size_three_divergence(s, args.t, certificate.value),
-    }
     sys.stderr.write(
         f"searched orders 2..{certificate.value} in {elapsed:.2f}s "
         f"({certificate.exhausted_outcome.nodes} nodes at the exhausted order)\n"
     )
-    return echo, result, (0 if result["match"] else 1)
+    return echo, {**report.to_json_dict(), "witness_path": witness_path}, (0 if report.matches else 1)
 
 
 def _cmd_formula(args: argparse.Namespace):

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
+from .cli import _write_text, main as cli_main
 from .constructions import lower_bound_construction, random_gallai
 from .decompose import gallai_partition, validate_partition
 from .formulas import cycle_ramsey, even_cycle_gr_bounds, gr_value
@@ -34,7 +35,7 @@ from .patterns import (
     find_rainbow_triangle,
     verify_witness,
 )
-from .search import SearchBudget, ramsey_number, search_two_color, verify_paper_claims
+from .search import SearchBudget, certify_claim, ramsey_number, search_two_color
 
 
 @dataclass
@@ -45,17 +46,10 @@ class ReproContext:
     out_dir: str
 
 
-def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(text)
-
-
 def _run_cli(argv: list[str]) -> tuple[int, dict]:
-    from . import cli as cli_mod
-
     out = io.StringIO()
     with redirect_stdout(out), redirect_stderr(io.StringIO()):
-        code = cli_mod.main(argv)
+        code = cli_main(argv)
     return code, json.loads(out.getvalue())
 
 
@@ -93,7 +87,7 @@ def _c2_triangle(ctx: ReproContext):
     result = report["result"]
     if code != 1 or result.get("value") != 6 or result.get("divergence") is None:
         return "fail", f"`ramsey -t 3` exited {code} without flagging value 6 as a divergence"
-    report = verify_paper_claims(3, "star-plus")
+    report = certify_claim("star-plus", 3, 3)
     if report.value != 6 or report.divergence is None:
         return "fail", "size-3 divergence from the linear form was not flagged"
     return "pass", (
@@ -133,7 +127,7 @@ def _c4_constructions(ctx: ReproContext):
             if graph.n != want:
                 return "fail", f"t={t} k={k}: order {graph.n}, wanted {want}"
             path = os.path.join(ctx.out_dir, f"repro-c4-t{t}-k{k}.gcg")
-            _write(path, encode(graph))
+            _write_text(path, encode(graph))
             for family in ("star-plus", "path-plus"):
                 code, report = _run_cli(["verify", path, "--family", family, "-t", str(t)])
                 if code != 0 or report["result"]["holds"] is not True:
@@ -259,7 +253,7 @@ def _c8_upper_bound(ctx: ReproContext):
         graph = random_gallai(16, 3, seed)
         if contains_pattern(graph, Pattern.star_plus(4)) is None:
             path = os.path.join(ctx.out_dir, f"counterexample-order16-seed{seed}.gcg")
-            _write(path, encode(graph))
+            _write_text(path, encode(graph))
             return "fail", f"seed {seed} avoids the order-4 target in all 3 colors; saved to {path}"
     return "pass", f"{samples} rainbow-free colorings of order 16 all contain the order-4 target"
 

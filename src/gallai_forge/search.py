@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 
-from .formulas import linear_claim, size_three_divergence
+from .formulas import _check_family, linear_claim, size_three_divergence
 from .graphs import ColoredCompleteGraph
 from .patterns import Pattern, _plan, _walk, contains_pattern
 
@@ -48,7 +48,6 @@ class SearchOutcome:
     witness: ColoredCompleteGraph | None
     nodes: int
     prunes: int
-    wall_time: float
 
 
 class BudgetExhausted(Exception):
@@ -257,7 +256,6 @@ def search_two_color(
         raise ValueError("prune callbacks only run in-process; use jobs=1")
     _check_target(p_red)
     _check_target(p_blue)
-    started = time.perf_counter()
     cap = budget.max_nodes if budget is not None and budget.max_nodes is not None else float("inf")
     deadline = (
         time.monotonic() + budget.max_time if budget is not None and budget.max_time is not None else None
@@ -265,7 +263,7 @@ def search_two_color(
     total = n * (n - 1) // 2
     if total == 0:
         witness = ColoredCompleteGraph(1, 2, [])
-        return SearchOutcome("witness", witness, 0, 0, time.perf_counter() - started)
+        return SearchOutcome("witness", witness, 0, 0)
 
     depth = min(SPLIT_DEPTH, total - 1) if total > 1 else 0
     prefixes, acc_nodes, acc_prunes, truncated = _explore(
@@ -295,14 +293,13 @@ def search_two_color(
             if witness_colors is not None:
                 break
 
-    wall = time.perf_counter() - started
     if witness_colors is None:
-        return SearchOutcome("exhausted", None, acc_nodes, acc_prunes, wall)
+        return SearchOutcome("exhausted", None, acc_nodes, acc_prunes)
     witness = ColoredCompleteGraph(n, 2, witness_colors)
     for p, color in ((p_red, 1), (p_blue, 2)):
         if contains_pattern(witness, p, color) is not None:
             raise RuntimeError("internal: witness coloring failed detector re-validation")
-    return SearchOutcome("witness", witness, acc_nodes, acc_prunes, wall)
+    return SearchOutcome("witness", witness, acc_nodes, acc_prunes)
 
 
 def ramsey_number(
@@ -329,46 +326,53 @@ def ramsey_number(
 
 @dataclass(frozen=True)
 class ClaimReport:
-    family: str
-    t: int
+    """A certified value held against the linear claim 2*max(s, t) - 1."""
+
     expected: int
-    value: int
-    matches: bool
-    divergence: str | None
     certificate: RamseyCertificate
+    divergence: str | None
+
+    @property
+    def value(self) -> int:
+        return self.certificate.value
+
+    @property
+    def matches(self) -> bool:
+        return self.value == self.expected
 
     def to_json_dict(self) -> dict:
-        out = {
-            "family": self.family,
-            "t": self.t,
-            "expected": self.expected,
+        exhausted = self.certificate.exhausted_outcome
+        return {
             "value": self.value,
-            "matches": self.matches,
+            "expected": self.expected,
+            "match": self.matches,
             "witness_order": self.certificate.witness.n,
-            "nodes": self.certificate.exhausted_outcome.nodes,
-            "prunes": self.certificate.exhausted_outcome.prunes,
+            "exhaustion": {"order": self.value, "nodes": exhausted.nodes, "prunes": exhausted.prunes},
+            "divergence": self.divergence,
         }
-        if self.divergence is not None:
-            out["divergence"] = self.divergence
-        return out
 
 
-def verify_paper_claims(
-    t: int,
+def certify_claim(
     family: str,
+    s: int,
+    t: int,
+    n_max: int | None = None,
     budget: SearchBudget | None = None,
     jobs: int = 1,
 ) -> ClaimReport:
-    """Certify by search that the two-color value for the family's target on
-    t vertices equals 2t - 1.  t = 3 is allowed with triangle semantics; its
-    true value 6 is reported with an explicit divergence note."""
-    if family not in ("star-plus", "path-plus"):
-        raise ValueError(f"unknown target family {family!r}")
-    if t < 3:
-        raise ValueError(f"need t >= 3, got {t}")
-    expected, cap = linear_claim(t, t)
-    pattern = Pattern(family, t)
-    certificate = ramsey_number(pattern, pattern, n_max=cap, budget=budget, jobs=jobs)
-    matches = certificate.value == expected
-    divergence = size_three_divergence(t, t, certificate.value)
-    return ClaimReport(family, t, expected, certificate.value, matches, divergence, certificate)
+    """Certify by search the two-color value for the family's targets on s
+    and t vertices and hold it against 2*max(s, t) - 1, trying orders up to
+    ``n_max`` (default: two above the claim).  Size 3 is allowed with
+    triangle semantics; its true value 6 comes with a divergence note."""
+    _check_family(family)
+    if min(s, t) < 3:
+        raise ValueError("pattern sizes below 3 are not meaningful targets here")
+    expected, cap = linear_claim(s, t)
+    certificate = ramsey_number(
+        Pattern(family, s),
+        Pattern(family, t),
+        n_max=cap if n_max is None else n_max,
+        budget=budget,
+        jobs=jobs,
+    )
+    return ClaimReport(expected, certificate, size_three_divergence(s, t, certificate.value))

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gallai_forge.cli import main
 from gallai_forge.graphs import decode
@@ -177,6 +182,55 @@ def test_ramsey_node_budget(capsys, tmp_path):
     assert code == 3
     assert report["result"]["reason"] == "nodes"
     assert report["result"]["nodes"] == 50
+
+
+def test_ramsey_checks_out_dir_before_searching(capsys, tmp_path):
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("")
+    # the node budget would run out (exit 3) if the search came first
+    code, report, _ = run_cli(
+        capsys,
+        "ramsey", "--family", "star-plus", "-t", "4",
+        "--max-nodes", "50", "--out-dir", str(blocker),
+    )
+    assert code == 2 and report["exit"] == 2
+    assert "File exists" in report["result"]["error"]
+
+
+RAMSEY_KEYS = {"value", "expected", "match", "witness_path", "witness_order", "exhaustion", "divergence"}
+
+
+# no size pair certifies within 500 nodes (size 4 needs 539), so pin one exit-0 case
+@example(family="star-plus", s=None, t=4, n_max=None, max_nodes=1000)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    family=st.sampled_from(["star-plus", "path-plus"]),
+    s=st.one_of(st.none(), st.integers(-1, 6)),
+    t=st.integers(-1, 6),
+    n_max=st.one_of(st.none(), st.integers(-1, 9)),
+    max_nodes=st.integers(1, 500),
+)
+def test_ramsey_always_answers_with_one_envelope(family, s, t, n_max, max_nodes):
+    with tempfile.TemporaryDirectory() as out_dir:
+        argv = ["ramsey", "--family", family, "-t", str(t), "--max-nodes", str(max_nodes), "--jobs", "1"]
+        if s is not None:
+            argv += ["-s", str(s)]
+        if n_max is not None:
+            argv += ["--n-max", str(n_max)]
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main(argv + ["--out-dir", out_dir])
+    report = json.loads(out.getvalue())  # one JSON document and nothing else
+    assert set(report) == {"command", "inputs", "result", "exit"}
+    assert report["exit"] == code and code in (0, 1, 2, 3)
+    result = report["result"]
+    if code == 0:
+        assert set(result) == RAMSEY_KEYS
+    elif code == 1:
+        # a value mismatch, or an --n-max below the value (NotFoundBelowCap)
+        assert set(result) == RAMSEY_KEYS or (n_max is not None and set(result) == {"error"})
+    else:
+        assert "error" in result
 
 
 def test_formula_subcommands(capsys):

@@ -9,9 +9,9 @@ from gallai_forge.search import (
     BudgetExhausted,
     NotFoundBelowCap,
     SearchBudget,
+    certify_claim,
     ramsey_number,
     search_two_color,
-    verify_paper_claims,
 )
 
 TRI = Pattern.clique(3)
@@ -195,25 +195,35 @@ def test_ramsey_not_found_below_cap():
         ramsey_number(TRI, TRI, n_max=1)
 
 
-def test_verify_paper_claims_match():
-    report = verify_paper_claims(4, "star-plus")
-    assert report.value == 7 and report.expected == 7
+# the CLI's `ramsey` result keys, less the witness path it adds
+CLAIM_KEYS = {"value", "expected", "match", "witness_order", "exhaustion", "divergence"}
+
+
+@pytest.mark.parametrize(
+    "family, s, t, value",
+    [("star-plus", 4, 4, 7), ("path-plus", 4, 5, 9)],
+)
+def test_certify_claim_match(family, s, t, value):
+    report = certify_claim(family, s, t)
+    assert report.value == value and report.expected == value
     assert report.matches and report.divergence is None
     d = report.to_json_dict()
-    assert d["value"] == 7 and d["witness_order"] == 6
-    assert "divergence" not in d
+    assert set(d) == CLAIM_KEYS
+    assert d["value"] == value and d["witness_order"] == value - 1
+    assert d["exhaustion"]["order"] == value
+    assert d["divergence"] is None
 
 
-def test_verify_paper_claims_divergence_at_three():
-    report = verify_paper_claims(3, "path-plus")
+def test_certify_claim_divergence_at_three():
+    report = certify_claim("path-plus", 3, 3)
     assert report.value == 6 and report.expected == 5
     assert not report.matches
     assert report.divergence is not None
-    assert "divergence" in report.to_json_dict()
+    assert report.to_json_dict()["divergence"] == report.divergence
 
 
-def test_verify_paper_claims_validation():
+def test_certify_claim_validation():
     with pytest.raises(ValueError):
-        verify_paper_claims(2, "star-plus")
+        certify_claim("star-plus", 2, 2)
     with pytest.raises(ValueError):
-        verify_paper_claims(4, "clique")
+        certify_claim("clique", 4, 4)
