@@ -5,7 +5,9 @@ Every subcommand prints exactly one JSON report on stdout with the shape
 times, progress) on stderr, so pipelines can parse stdout unconditionally.
 
 Exit codes: 0 = claim holds / artifact produced, 1 = claim violated or
-value mismatch, 2 = usage or malformed input, 3 = search budget exhausted.
+value mismatch, 2 = usage or malformed input, 3 = no verdict: the search
+budget ran out (reason "nodes" or "time") or no order up to --n-max was
+exhausted (reason "n-max").
 """
 
 from __future__ import annotations
@@ -303,7 +305,7 @@ def main(argv=None) -> int:
         code = 3
     except NotFoundBelowCap as exc:
         inputs = getattr(args, "echo", {})
-        result, code = {"error": str(exc)}, 1
+        result, code = {"error": str(exc), "reason": "n-max"}, 3
     report = {"command": args.command, "inputs": inputs, "result": result, "exit": code}
     print(json.dumps(report, indent=2, sort_keys=True))
     return code

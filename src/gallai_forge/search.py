@@ -4,7 +4,13 @@ Edges of K_n are assigned in a fixed order (all edges into vertex v before
 vertex v+1, lower endpoint ascending), depth-first, color 1 before color 2.
 A branch is cut as soon as the partial coloring contains the first target in
 color 1 or the second in color 2; only copies through the newest edge can be
-new, so each node costs one anchored completion test instead of a full scan.
+new, so each node tests only those instead of scanning the whole coloring.
+Triangles and star-plus get bitmask tests.  Every other target anchors the
+new edge on one ordered pattern edge (arc) per orbit of the target's
+automorphism group and walks the remaining roles from there: one arc for
+cycles and cliques, two for stars, 2t - 3 for path-plus on t vertices.  An
+arc is walked only when both endpoints of the new edge have at least the
+pattern degree of the roles placed on them.
 When both targets coincide the first edge is fixed to color 1 (color swap).
 
 Parallel runs split the tree at a fixed depth into prefix subtrees and
@@ -15,6 +21,7 @@ witness, and node/prune counters match the single-job run exactly.
 
 from __future__ import annotations
 
+import functools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -75,6 +82,26 @@ class RamseyCertificate:
     exhausted_outcome: SearchOutcome
 
 
+@functools.cache
+def _arc_orbits(p: Pattern) -> tuple[tuple[int, int], ...]:
+    """One ordered pattern edge (arc) per orbit of Aut(p), the first of each
+    orbit in edge order, forward before reverse.  An arc is dropped when the
+    walker, run on p's own adjacency, embeds p in itself with an earlier
+    representative on that arc: an injective self-map that keeps every edge
+    is an automorphism."""
+    masks = [0] * p.size
+    for i, j in p.edges():
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    reps: list[tuple[int, int]] = []
+    for i, j in p.edges():
+        for a, b in ((i, j), (j, i)):
+            pair = (1 << a) | (1 << b)
+            if not any(_walk(_plan(p, (x, y)), 0, {x: a, y: b}, pair, masks) for x, y in reps):
+                reps.append((a, b))
+    return tuple(reps)
+
+
 def _make_checker(p: Pattern, adj: list, deg: list):
     """Build hit(u, v): does a copy of ``p`` through the just-assigned edge
     {u, v} exist in the color whose adjacency ``adj``/``deg`` describe?"""
@@ -121,15 +148,18 @@ def _make_checker(p: Pattern, adj: list, deg: list):
 
         return hit_star_plus
 
-    # place the remaining roles outward from each pattern edge in turn
-    plans = [(a, b, _plan(p, (a, b))) for a, b in p.edges()]
+    # anchor {u, v} on one arc per orbit: a copy that puts any arc of an
+    # orbit on (u, v) can be moved by an automorphism onto its representative
+    pdeg = [sum(r in e for e in p.edges()) for r in range(size)]
+    anchors = [(a, b, pdeg[a], pdeg[b], _plan(p, (a, b))) for a, b in _arc_orbits(p)]
 
     def hit_generic(u: int, v: int) -> bool:
         pair = (1 << u) | (1 << v)
-        for a, b, steps in plans:
-            if _walk(steps, 0, {a: u, b: v}, pair, adj):
-                return True
-            if _walk(steps, 0, {a: v, b: u}, pair, adj):
+        du = deg[u]
+        dv = deg[v]
+        for a, b, need_a, need_b, steps in anchors:
+            # roles a and b cannot land on u and v without their pattern degree
+            if du >= need_a and dv >= need_b and _walk(steps, 0, {a: u, b: v}, pair, adj):
                 return True
         return False
 

@@ -184,6 +184,20 @@ def test_ramsey_node_budget(capsys, tmp_path):
     assert report["result"]["nodes"] == 50
 
 
+def test_ramsey_n_max_below_value_exits_3(capsys, tmp_path):
+    # no verdict, like a spent budget; exit 1 would claim a refutation
+    code, report, _ = run_cli(
+        capsys,
+        "ramsey", "--family", "star-plus", "-t", "4",
+        "--n-max", "5", "--out-dir", str(tmp_path),
+    )
+    assert code == 3 and report["exit"] == 3
+    assert report["result"] == {
+        "error": "every order up to 5 still admits a valid coloring",
+        "reason": "n-max",
+    }
+
+
 def test_ramsey_checks_out_dir_before_searching(capsys, tmp_path):
     blocker = tmp_path / "plain-file"
     blocker.write_text("")
@@ -227,8 +241,9 @@ def test_ramsey_always_answers_with_one_envelope(family, s, t, n_max, max_nodes)
     if code == 0:
         assert set(result) == RAMSEY_KEYS
     elif code == 1:
-        # a value mismatch, or an --n-max below the value (NotFoundBelowCap)
-        assert set(result) == RAMSEY_KEYS or (n_max is not None and set(result) == {"error"})
+        assert set(result) == RAMSEY_KEYS  # a value mismatch
+    elif code == 3 and result.get("reason") == "n-max":
+        assert n_max is not None and set(result) == {"error", "reason"}
     else:
         assert "error" in result
 

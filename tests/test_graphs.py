@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gallai_forge.graphs import (
     ColoredCompleteGraph,
@@ -103,14 +105,35 @@ def test_color_masks_and_degrees():
                     assert ((masks[u] >> v) & 1) == (g.color_of(u, v) == c)
 
 
-def test_encode_decode_roundtrip_random():
-    rng = random.Random(77)
-    for _ in range(50):
-        n = rng.randint(1, 20)
-        k = rng.randint(1, 6)
-        tri = [rng.randint(1, k) for _ in range(n * (n - 1) // 2)]
-        g = ColoredCompleteGraph(n, k, tri)
-        assert decode(encode(g)) == g
+@st.composite
+def colorings(draw, max_n):
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(1, 6))
+    size = n * (n - 1) // 2
+    return ColoredCompleteGraph(n, k, draw(st.lists(st.integers(1, k), min_size=size, max_size=size)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(g=colorings(40))
+def test_encode_decode_roundtrip_random(g):
+    assert decode(encode(g)) == g
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(g=colorings(8), edit=st.sampled_from(["replace", "insert", "delete"]), data=st.data())
+def test_decode_mutated_text_fails_only_with_a_position(g, edit, data):
+    raw = encode(g).encode("ascii")
+    at = data.draw(st.integers(0, len(raw) - (edit != "insert")))
+    byte = bytes([data.draw(st.integers(0, 255))])
+    tail = raw[at + (edit != "insert") :]
+    mutated = (raw[:at] + (b"" if edit == "delete" else byte) + tail).decode("latin-1")
+    try:
+        out = decode(mutated)
+    except GcgFormatError as exc:
+        assert exc.line >= 1 and exc.column >= 1
+        assert f"line {exc.line}, column {exc.column}:" in str(exc)
+    else:
+        assert isinstance(out, ColoredCompleteGraph)
 
 
 def test_encode_exact_bytes():

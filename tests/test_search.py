@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import hashlib
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gallai_forge import search
 from gallai_forge.graphs import ColoredCompleteGraph, encode
-from gallai_forge.patterns import Pattern, brute_force_find, contains_pattern
+from gallai_forge.patterns import PATTERN_KINDS, Pattern, brute_force_find, contains_pattern
 from gallai_forge.search import (
     BudgetExhausted,
     NotFoundBelowCap,
@@ -68,6 +73,70 @@ def test_every_prune_is_justified():
         out = search_two_color(n, pa, pb, on_prune=on_prune)
         assert unjustified == []
         assert out.prunes > 0
+
+
+def _copy_through_edge(p, color_of, n, u, v, c):
+    # some injective placement of p's roles whose edges all have color c and
+    # one of which lands on {u, v}; nothing shared with the search's checkers
+    edges = p.edges()
+    for vs in itertools.permutations(range(n), p.size):
+        placed = [{vs[i], vs[j]} for i, j in edges]
+        if {u, v} in placed and all(color_of[frozenset(e)] == c for e in placed):
+            return True
+    return False
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    p=st.builds(Pattern, st.sampled_from(PATTERN_KINDS), st.integers(3, 5)),
+    n=st.integers(2, 7),
+    data=st.data(),
+)
+def test_checker_matches_permutation_oracle(p, n, data):
+    # a partial 2-coloring (0 = not yet assigned) whose last edge {u, v} has
+    # color c; c is drawn more often than the rest so that copies occur
+    c = data.draw(st.sampled_from((1, 2)))
+    pairs = list(itertools.combinations(range(n), 2))
+    palette = st.sampled_from((c, c, c, 3 - c, 0))
+    colors = data.draw(st.lists(palette, min_size=len(pairs), max_size=len(pairs)))
+    u, v = data.draw(st.sampled_from(pairs))
+    color_of = {frozenset(e): col for e, col in zip(pairs, colors)}
+    color_of[frozenset((u, v))] = c
+    adj = [0] * n
+    deg = [0] * n
+    for e, col in color_of.items():
+        if col == c:
+            a, b = e
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+            deg[a] += 1
+            deg[b] += 1
+    hit = search._make_checker(p, adj, deg)
+    expected = _copy_through_edge(p, color_of, n, u, v, c)
+    assert hit(u, v) == expected
+    assert hit(v, u) == expected
+
+
+# (nodes, prunes) at the witness and exhausted orders, and the sha256 of the
+# witness's GCG bytes, for pairs the generic checker serves
+@pytest.mark.parametrize(
+    "pa, pb, value, witness_counts, exhausted_counts, witness_sha256",
+    [
+        (Pattern.cycle(5), Pattern.cycle(5), 9, (342, 136), (57181, 28591),
+         "e880e915434c343207180fd1512aae75163ff8441abe8769c112874d6781b57c"),
+        (Pattern.path_plus(5), Pattern.path_plus(5), 9, (101, 16), (3463, 1732),
+         "c22839c614192022780b0b6e4e7ab8efc65d8501ca010715ebf79180d0a3c179"),
+        (PP4, Pattern.path_plus(5), 9, (179, 40), (2768, 1385),
+         "f96c3a1d544f7589c1ce64b305e030982874126f89bef6c672b08aad488ab909"),
+    ],
+    ids=["C5-C5", "P5-P5", "P4-P5"],
+)
+def test_generic_checker_counters_are_pinned(pa, pb, value, witness_counts, exhausted_counts, witness_sha256):
+    cert = ramsey_number(pa, pb, n_max=value)
+    assert cert.value == value
+    assert (cert.witness_outcome.nodes, cert.witness_outcome.prunes) == witness_counts
+    assert (cert.exhausted_outcome.nodes, cert.exhausted_outcome.prunes) == exhausted_counts
+    assert hashlib.sha256(encode(cert.witness).encode("ascii")).hexdigest() == witness_sha256
 
 
 def test_single_vertex_search():
