@@ -7,6 +7,12 @@ plan builder (_plan) and one walker (_walk), except the star-plus scan.
 brute_force_find enumerates vertex subsets and role assignments straight
 from the definitions and is kept independent so the two can be checked
 against each other.
+
+find_rainbow_triangle counts, then locates.  In a complete graph the number
+of rainbow triangles follows from per-color degrees and the number of
+monochromatic triangles (_rainbow_count), which packed bitsets give in
+O(n^3/64) word operations; only a coloring whose count is positive pays for
+the O(n^3) scan that finds the lexicographically first witness.
 """
 
 from __future__ import annotations
@@ -130,12 +136,56 @@ def _color_range(graph: ColoredCompleteGraph, c: int | None) -> range | tuple[in
     return (c,)
 
 
+# _rainbow_count gathers bitset rows a block of edges at a time; a block's
+# rows take about this many bytes at most (one row of edges when n is huge).
+_COUNT_BLOCK_BYTES = 1 << 22
+
+
+def _rainbow_count(graph: ColoredCompleteGraph) -> int:
+    """Number of rainbow triangles, without enumerating triangles.
+
+    Every pair of edges at a vertex closes a triangle, so counting the
+    same-colored pairs (cherries) at each vertex counts each monochromatic
+    triangle three times, each two-colored one once and each rainbow one
+    never (Goodman's argument):
+        rainbow = C(n, 3) - sum_v sum_c C(d_c(v), 2) + 2 * monochromatic.
+    Monochromatic triangles are sum over c-colored edges uw of
+    |N_c(u) & N_c(w)|, divided by 3, read off packed neighbor rows.
+    """
+    n = graph.n
+    used = np.unique(graph.edge_colors())
+    if used.size < 3:
+        return 0
+    square = graph.as_square()
+    row_bytes = -(-n // 64) * 8  # whole 64-bit words per row
+    step = max(1, _COUNT_BLOCK_BYTES // (n * row_bytes))
+    cherries = mono = 0
+    for c in used:
+        hits = square == c
+        deg = np.count_nonzero(hits, axis=1)
+        cherries += int((deg * (deg - 1)).sum()) // 2
+        rows = np.zeros((n, row_bytes), dtype=np.uint8)
+        rows[:, : -(-n // 8)] = np.packbits(hits, axis=1)
+        words = rows.view(np.uint64)
+        # the c-colored edges u < w, a bounded block of rows u at a time
+        for u0 in range(0, n, step):
+            iu, iw = np.nonzero(np.triu(hits[u0 : u0 + step], u0 + 1))
+            common = words[iu + u0]
+            common &= words[iw]
+            mono += int(np.bitwise_count(common).sum(dtype=np.int64))
+    return n * (n - 1) * (n - 2) // 6 - cherries + 2 * (mono // 3)
+
+
 def find_rainbow_triangle(graph: ColoredCompleteGraph) -> WitnessEmbedding | None:
     """First triangle with three pairwise distinct edge colors, scanning
-    ordered triples u < v < w lexicographically."""
-    n = graph.n
-    if n < 3 or graph.k < 3:
+    ordered triples u < v < w lexicographically.
+
+    Deciding and locating are separate steps: _rainbow_count settles whether
+    any rainbow triangle exists, and only then does the row-by-row scan run
+    to return the first one."""
+    if _rainbow_count(graph) == 0:
         return None
+    n = graph.n
     m = graph.as_square()
     for u in range(n - 2):
         a = m[u, u + 1 :]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -12,7 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gallai_forge.cli import main
-from gallai_forge.graphs import decode
+from gallai_forge.constructions import random_gallai
+from gallai_forge.graphs import decode, encode
 from gallai_forge.repro import _child_env
 
 
@@ -126,6 +128,32 @@ def test_decompose_rainbow_refused(capsys, tmp_path):
     assert code == 1
     assert report["result"]["holds"] is False
     assert report["result"]["rainbow_triangle"]["color"] == "rainbow"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(3, 7),
+    seed=st.integers(0, 2**32 - 1),
+    edit=st.sampled_from(["replace", "insert", "delete"]),
+    data=st.data(),
+)
+def test_verify_and_decompose_answer_mutated_files_with_one_envelope(n, seed, edit, data):
+    raw = (encode(random_gallai(n, 3, seed)) + "# a comment\n").encode("ascii")
+    at = data.draw(st.integers(0, len(raw) - (edit != "insert")))
+    byte = bytes([data.draw(st.integers(0, 255))])
+    mutated = raw[:at] + (b"" if edit == "delete" else byte) + raw[at + (edit != "insert") :]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.gcg")
+        with open(path, "wb") as fh:
+            fh.write(mutated)
+        for argv in (["verify", path, "--family", "star-plus", "-t", "4"], ["decompose", path]):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+            report = json.loads(out.getvalue())  # one JSON document and nothing else
+            assert set(report) == {"command", "inputs", "result", "exit"}
+            assert report["exit"] == code and code in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()
 
 
 def test_ramsey_match(capsys, tmp_path):

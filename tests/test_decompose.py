@@ -3,7 +3,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import rainbow_triples, recolored_gallai
 from gallai_forge.constructions import (
     blow_up_5,
     pentagon_k5,
@@ -200,3 +203,18 @@ def test_random_sweep_validates():
             q = gallai_partition(red)
             ok, why = validate_partition(red, q)
             assert ok, why
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=recolored_gallai(16, st.integers(0, 1)))
+def test_partition_valid_or_refused_with_first_rainbow(case):
+    g, edits = case
+    try:
+        p = gallai_partition(g)
+    except RainbowTrianglePresent as exc:
+        assert edits == 1  # random_gallai itself is rainbow-free
+        assert verify_witness(g, exc.witness)
+        assert exc.witness.vertices == rainbow_triples(g)[0]
+    else:
+        ok, why = validate_partition(g, p)
+        assert ok, why

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import colorings
 from gallai_forge.graphs import (
     ColoredCompleteGraph,
     GcgFormatError,
@@ -103,14 +104,6 @@ def test_color_masks_and_degrees():
             for v in range(4):
                 if u != v:
                     assert ((masks[u] >> v) & 1) == (g.color_of(u, v) == c)
-
-
-@st.composite
-def colorings(draw, max_n):
-    n = draw(st.integers(1, max_n))
-    k = draw(st.integers(1, 6))
-    size = n * (n - 1) // 2
-    return ColoredCompleteGraph(n, k, draw(st.lists(st.integers(1, k), min_size=size, max_size=size)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

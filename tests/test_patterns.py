@@ -2,16 +2,22 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gallai_forge.constructions import pentagon_k5, two_clique_example
-from gallai_forge.graphs import ColoredCompleteGraph, decode, encode, new_uniform
+from conftest import colorings, rainbow_triples, recolored_gallai
+from gallai_forge import patterns
+from gallai_forge.constructions import pentagon_k5, random_gallai, two_clique_example
+from gallai_forge.graphs import MAX_COLOR, ColoredCompleteGraph, decode, encode, new_uniform
 from gallai_forge.patterns import (
     ORACLE_MAX_HOST,
     ORACLE_MAX_PATTERN,
     PATTERN_KINDS,
     Pattern,
     WitnessEmbedding,
+    _rainbow_count,
     brute_force_find,
     contains_pattern,
     find_rainbow_triangle,
@@ -103,21 +109,48 @@ def test_rainbow_planted_and_first_in_order():
     assert first is not None and first.vertices == (0, 1, 2)
 
 
-def test_pentagon_blowups_stay_rainbow_free():
-    rng = random.Random(5)
-    for _ in range(30):
-        g = _random_coloring(7, 3, rng)
-        fast = find_rainbow_triangle(g)
-        slow = None
-        for a in range(g.n):
-            for b in range(a + 1, g.n):
-                for c in range(b + 1, g.n):
-                    cols = {g.color_of(a, b), g.color_of(a, c), g.color_of(b, c)}
-                    if len(cols) == 3 and slow is None:
-                        slow = (a, b, c)
-        assert (fast is None) == (slow is None)
-        if fast is not None:
-            assert fast.vertices == slow
+@st.composite
+def widened(draw, base):
+    # relabels the colors into 1..MAX_COLOR and declares many more than are used
+    g = draw(base)
+    labels = draw(st.lists(st.integers(1, MAX_COLOR), min_size=g.k, max_size=g.k, unique=True))
+    k = draw(st.integers(max(labels), MAX_COLOR))
+    return ColoredCompleteGraph(g.n, k, np.array(labels, dtype=np.uint16)[g.edge_colors() - 1])
+
+
+GALLAI_RECOLORED = recolored_gallai(12, st.integers(0, 2)).map(lambda pair: pair[0])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    g=st.one_of(
+        colorings(12),
+        GALLAI_RECOLORED,
+        widened(st.one_of(colorings(12), GALLAI_RECOLORED)),
+    )
+)
+def test_pentagon_blowups_stay_rainbow_free(g):
+    fast = find_rainbow_triangle(g)
+    triples = rainbow_triples(g)
+    slow = triples[0] if triples else None
+    assert (fast is None) == (slow is None)
+    if fast is not None:
+        assert fast.vertices == slow
+    # a count that is positive on a rainbow-free input would still give the
+    # right witness, but only after a full scan
+    assert _rainbow_count(g) == len(triples)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 200])
+def test_rainbow_count_in_small_blocks(monkeypatch, block_bytes):
+    # real inputs fit one block below a few thousand vertices; shrink the
+    # block so that the per-block edge offsets are exercised too
+    monkeypatch.setattr(patterns, "_COUNT_BLOCK_BYTES", block_bytes)
+    rng = random.Random(17)
+    graphs = [_random_coloring(n, k, rng) for n, k in ((20, 3), (25, 4), (9, 5))]
+    graphs += [random_gallai(n, 5, seed) for n, seed in ((30, 1), (40, 2))]
+    for g in graphs:
+        assert _rainbow_count(g) == len(rainbow_triples(g))
 
 
 # --- monochromatic detectors ----------------------------------------------

@@ -9,9 +9,8 @@ from __future__ import annotations
 import itertools
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from gallai_forge.graphs import ColoredCompleteGraph
+from conftest import colorings
 from gallai_forge.patterns import PATTERN_KINDS, Pattern, contains_pattern
 
 
@@ -23,16 +22,8 @@ def _least_embedding(graph, p, color):
     return None
 
 
-@st.composite
-def colorings(draw):
-    n = draw(st.integers(1, 7))
-    k = draw(st.integers(1, 3))
-    tri = draw(st.lists(st.integers(1, k), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
-    return ColoredCompleteGraph(n, k, tri)
-
-
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(colorings())
+@given(colorings(7, 3))
 def test_witness_is_least_embedding(graph):
     for kind in PATTERN_KINDS:
         for size in range(1, 6):
