@@ -34,22 +34,29 @@ class InternalExhaustion(RuntimeError):
     since rainbow-free inputs always admit one."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GallaiPartition:
-    """Parts in ascending order of their smallest vertex, the color joining
-    each pair of parts, and the set of colors used between parts."""
+    """Parts in ascending order of their smallest vertex, and the read-only
+    m-by-m quotient matrix whose entry (i, j) is the color joining parts i
+    and j, zero on the diagonal."""
 
     parts: tuple[tuple[int, ...], ...]
-    quotient_color: dict
-    between_colors: frozenset
+    quotient: np.ndarray
+
+    @property
+    def between_colors(self) -> frozenset:
+        """The colors used between parts: the quotient's off-diagonal values."""
+        iu, iv = np.triu_indices(len(self.quotient), 1)
+        return frozenset(np.unique(self.quotient[iu, iv]).tolist())
 
     def to_json_dict(self) -> dict:
+        q = self.quotient.tolist()
         return {
             "parts": [list(p) for p in self.parts],
             "quotient": [
-                {"i": i, "j": j, "color": int(c)} for (i, j), c in sorted(self.quotient_color.items())
+                {"i": i, "j": j, "color": q[i][j]} for i, j in combinations(range(len(self.parts)), 2)
             ],
-            "between_colors": sorted(int(c) for c in self.between_colors),
+            "between_colors": sorted(self.between_colors),
         }
 
 
@@ -91,23 +98,14 @@ def _merge_bichromatic(square: np.ndarray, labels: np.ndarray, count: int) -> tu
     return labels, int(count)
 
 
-def _quotient_square(m: int, quotient_color: dict) -> np.ndarray:
-    """m-by-m matrix of the colors joining the parts, zero on the diagonal.
-    Wide enough that a hand-built color outside uint16 compares unequal."""
-    q = np.zeros((m, m), dtype=np.int64)
-    for (i, j), color in quotient_color.items():
-        q[i, j] = q[j, i] = color
-    return q
-
-
-def _package(square: np.ndarray, labels: np.ndarray, count: int) -> GallaiPartition:
+def _package(square: np.ndarray, labels: np.ndarray) -> GallaiPartition:
     members = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
     members.sort(key=lambda ix: int(ix[0]))
     reps = [int(ix[0]) for ix in members]
-    block = square[np.ix_(reps, reps)]
-    quotient = {(i, j): int(block[i, j]) for i, j in combinations(range(count), 2)}
+    quotient = square[np.ix_(reps, reps)]
+    quotient.setflags(write=False)
     parts = tuple(tuple(ix.tolist()) for ix in members)
-    return GallaiPartition(parts, quotient, frozenset(quotient.values()))
+    return GallaiPartition(parts, quotient)
 
 
 def gallai_partition(graph: ColoredCompleteGraph) -> GallaiPartition:
@@ -125,16 +123,16 @@ def gallai_partition(graph: ColoredCompleteGraph) -> GallaiPartition:
     if rainbow is not None:
         raise RainbowTrianglePresent(rainbow)
     square = graph.as_square()
-    singles = [(c,) for c in range(1, graph.k + 1)]
-    pairs = [tuple(s) for s in combinations(range(1, graph.k + 1), 2)]
-    for color_set in singles + pairs:
+    # a color with no edges leaves K_n connected alone and adds nothing to a pair
+    used = np.unique(graph.edge_colors()).tolist()
+    for color_set in [(c,) for c in used] + list(combinations(used, 2)):
         labels, count = _components_outside(square, color_set)
         if count < 2:
             continue
         labels, count = _merge_bichromatic(square, labels, count)
         if count < 2:
             continue
-        partition = _package(square, labels, count)
+        partition = _package(square, labels)
         ok, why = validate_partition(graph, partition)
         if not ok:
             raise InternalExhaustion(f"extracted partition fails validation: {why}")
@@ -160,22 +158,20 @@ def validate_partition(graph: ColoredCompleteGraph, partition: GallaiPartition) 
             labels[v] = index
     if (labels < 0).any():
         return False, f"vertex {int(np.argmax(labels < 0))} is not covered"
-    if set(partition.quotient_color) != set(combinations(range(m), 2)):
-        return False, "quotient does not cover exactly the part pairs"
+    q = partition.quotient
+    if q.shape != (m, m) or (q != q.T).any() or np.diagonal(q).any():
+        return False, f"quotient must be a symmetric {m}x{m} matrix with a zero diagonal"
     # every cross-part entry once, u in the lower-numbered part, row-major
     square = graph.as_square()
-    q = _quotient_square(m, partition.quotient_color)
     wrong = (square != q[labels][:, labels]) & (labels[:, None] < labels[None, :])
     if wrong.any():
         u, v = (int(x) for x in np.unravel_index(np.argmax(wrong), wrong.shape))
         i, j = int(labels[u]), int(labels[v])
         return False, (
             f"edge {{{u}, {v}}} between parts {i} and {j} has color "
-            f"{int(square[u, v])}, quotient says {partition.quotient_color[(i, j)]}"
+            f"{int(square[u, v])}, quotient says {int(q[i, j])}"
         )
-    between = frozenset(partition.quotient_color.values())
-    if between != partition.between_colors:
-        return False, "between_colors does not match the quotient colors"
+    between = partition.between_colors
     if len(between) > 2:
         return False, f"{len(between)} colors between parts, at most 2 allowed"
     return True, None
@@ -187,5 +183,4 @@ def reduced_graph(graph: ColoredCompleteGraph, partition: GallaiPartition) -> Co
     ok, why = validate_partition(graph, partition)
     if not ok:
         raise ValueError(f"not a valid partition of the graph: {why}")
-    m = len(partition.parts)
-    return ColoredCompleteGraph.from_square(m, graph.k, _quotient_square(m, partition.quotient_color))
+    return ColoredCompleteGraph.from_square(len(partition.parts), graph.k, partition.quotient)

@@ -9,6 +9,7 @@ stores its edge colors in a flat lower-triangular array indexed by
 from __future__ import annotations
 
 import math
+import re
 from typing import Iterator
 
 import numpy as np
@@ -68,7 +69,7 @@ class ColoredCompleteGraph:
             raise ValueError(f"vertex count must be at least 1, got {n}")
         if not 1 <= k <= MAX_COLOR:
             raise ValueError(f"color count must be in 1..{MAX_COLOR}, got {k}")
-        tri = np.ascontiguousarray(colors, dtype=np.uint16)
+        tri = np.array(colors, dtype=np.uint16)  # a copy: freezing it leaves the caller's array alone
         want = n * (n - 1) // 2
         if tri.shape != (want,):
             raise ValueError(f"expected {want} edge colors for n={n}, got shape {tri.shape}")
@@ -167,28 +168,13 @@ def encode(graph: ColoredCompleteGraph) -> str:
     tri = graph._tri
     for i in range(1, graph.n):
         row = tri[i * (i - 1) // 2 : i * (i + 1) // 2]
-        lines.append(" ".join(str(int(c)) for c in row))
+        lines.append(" ".join(map(str, row.tolist())))
     return "\n".join(lines) + "\n"
 
 
 def _tokenize(line: str) -> list[tuple[str, int]]:
     # (token, 1-based column); a '#' starts a comment running to end of line
-    out = []
-    i = 0
-    size = len(line)
-    while i < size:
-        ch = line[i]
-        if ch == "#":
-            break
-        if ch.isspace():
-            i += 1
-            continue
-        j = i
-        while j < size and not line[j].isspace() and line[j] != "#":
-            j += 1
-        out.append((line[i:j], i + 1))
-        i = j
-    return out
+    return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line.partition("#")[0])]
 
 
 def decode(text: str) -> ColoredCompleteGraph:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -119,6 +120,17 @@ def test_decompose_two_clique(capsys, tmp_path):
     assert report["result"]["partition"]["parts"] == [[0, 1, 2], [3, 4, 5]]
     assert report["result"]["reduced"]["order"] == 2
     assert report["result"]["reduced"]["rows"] == [[2]]
+
+
+def test_decompose_stdout_is_pinned_for_five_parts(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the input path is echoed, so keep it relative
+    run_cli(capsys, "construct", "--family", "star-plus", "-t", "4", "-k", "3", "-o", "c.gcg")
+    assert main(["decompose", "c.gcg"]) == 0
+    out = capsys.readouterr().out
+    assert len(json.loads(out)["result"]["partition"]["parts"]) == 5
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "69c8873577d8a95f63302d3b2a62cc1cf42e50f476f4fdcd7d9ed2081a9987dc"
+    )
 
 
 def test_decompose_rainbow_refused(capsys, tmp_path):

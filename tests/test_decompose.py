@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +30,8 @@ def test_two_clique_splits_into_the_cliques():
     p = gallai_partition(g)
     assert p.parts == ((0, 1, 2), (3, 4, 5))
     assert p.between_colors == frozenset({2})
-    assert p.quotient_color == {(0, 1): 2}
+    assert p.quotient.tolist() == [[0, 2], [2, 0]]
+    assert not p.quotient.flags.writeable
 
 
 def test_pentagon_splits_into_singletons():
@@ -46,8 +48,8 @@ def test_blow_up_splits_into_copies():
     assert p.parts == ((0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11), (12, 13, 14))
     assert p.between_colors == frozenset({2, 3})
     # quotient colors follow the pentagon pattern of the blow-up
-    assert p.quotient_color[(0, 1)] == 2
-    assert p.quotient_color[(0, 2)] == 3
+    assert p.quotient[0, 1] == 2
+    assert p.quotient[0, 2] == 3
 
 
 def test_blow_up_with_low_cross_colors():
@@ -73,6 +75,17 @@ def test_two_vertex_graph():
     assert p.parts == ((0,), (1,))
 
 
+@pytest.mark.parametrize("seed", [2, 4, 5])  # won by color 1, by color 2, by the pair
+def test_unused_declared_colors_do_not_change_the_partition(seed):
+    g = random_gallai(40, 2, seed)
+    p = gallai_partition(g)
+    # relabel 1, 2 to 65534, 65535 inside a declared k of 65535
+    wide = ColoredCompleteGraph(g.n, 65535, g.edge_colors().astype(np.int64) + 65533)
+    q = gallai_partition(wide)
+    assert q.parts == p.parts
+    assert q.quotient.tolist() == np.where(p.quotient > 0, p.quotient + 65533, 0).tolist()
+
+
 def test_rejects_single_vertex():
     with pytest.raises(ValueError):
         gallai_partition(new_uniform(1, 1, 1))
@@ -96,52 +109,68 @@ def test_partition_json_shape():
     }
 
 
+def _q(m: int, colors: dict) -> np.ndarray:
+    """m-by-m quotient matrix from {(i, j): color} for i < j."""
+    q = np.zeros((m, m), dtype=np.int64)
+    for (i, j), color in colors.items():
+        q[i, j] = q[j, i] = color
+    return q
+
+
 def test_validation_catches_tampering():
     g = two_clique_example(4, 1, 2)
     good = gallai_partition(g)
 
-    single = GallaiPartition(((0, 1, 2, 3, 4, 5),), {}, frozenset())
+    single = GallaiPartition(((0, 1, 2, 3, 4, 5),), _q(1, {}))
     ok, why = validate_partition(g, single)
     assert not ok and "at least 2" in why
 
-    overlap = GallaiPartition(((0, 1, 2), (2, 3, 4, 5)), {(0, 1): 2}, frozenset({2}))
+    overlap = GallaiPartition(((0, 1, 2), (2, 3, 4, 5)), _q(2, {(0, 1): 2}))
     ok, why = validate_partition(g, overlap)
     assert not ok and "more than one part" in why
 
-    missing = GallaiPartition(((0, 1, 2), (3, 4)), {(0, 1): 2}, frozenset({2}))
+    missing = GallaiPartition(((0, 1, 2), (3, 4)), _q(2, {(0, 1): 2}))
     ok, why = validate_partition(g, missing)
     assert not ok and "not covered" in why
 
-    wrong_color = GallaiPartition(good.parts, {(0, 1): 1}, frozenset({1}))
+    wrong_color = GallaiPartition(good.parts, _q(2, {(0, 1): 1}))
     ok, why = validate_partition(g, wrong_color)
-    assert not ok and "quotient says" in why
+    assert not ok and "quotient says 1" in why
 
-    bad_keys = GallaiPartition(good.parts, {(1, 0): 2}, frozenset({2}))
-    ok, why = validate_partition(g, bad_keys)
-    assert not ok and "part pairs" in why
-
-    mislabeled = GallaiPartition(good.parts, {(0, 1): 2}, frozenset({1, 2}))
-    ok, why = validate_partition(g, mislabeled)
-    assert not ok and "between_colors" in why
+    # a color that uint16 storage would wrap to the right one
+    wide_color = GallaiPartition(good.parts, _q(2, {(0, 1): 2 + 2**16}))
+    ok, why = validate_partition(g, wide_color)
+    assert not ok and "quotient says 65538" in why
 
     # a split that cuts a clique makes a bichromatic pair
-    split = GallaiPartition(
-        ((0, 1), (2,), (3, 4, 5)),
-        {(0, 1): 1, (0, 2): 2, (1, 2): 2},
-        frozenset({1, 2}),
-    )
+    split = GallaiPartition(((0, 1), (2,), (3, 4, 5)), _q(3, {(0, 1): 1, (0, 2): 2, (1, 2): 2}))
     ok, why = validate_partition(g, split)
     assert ok, why  # this one is actually still valid: cliques may split
+
+
+@pytest.mark.parametrize(
+    "quotient",
+    [
+        np.array([[0, 2], [1, 0]]),  # asymmetric
+        np.array([[2, 2], [2, 0]]),  # non-zero diagonal
+        np.array([[0, 2, 2], [2, 0, 2], [2, 2, 0]]),  # 3x3 for two parts
+        np.array([0, 2]),  # not a matrix
+    ],
+    ids=["asymmetric", "diagonal", "shape", "flat"],
+)
+def test_validation_rejects_malformed_quotient(quotient):
+    g = two_clique_example(4, 1, 2)
+    p = GallaiPartition(gallai_partition(g).parts, quotient)
+    ok, why = validate_partition(g, p)
+    assert not ok and "symmetric 2x2 matrix with a zero diagonal" in why
+    with pytest.raises(ValueError):
+        reduced_graph(g, p)
 
 
 def test_validation_rejects_nonuniform_block():
     tri = [1, 2, 2, 2, 2, 1]  # K4: edges (1,0)=1, (2,0)=2, (2,1)=2, (3,0)=2, (3,1)=2, (3,2)=1
     g = ColoredCompleteGraph(4, 2, tri)
-    forced = GallaiPartition(
-        ((0, 3), (1, 2)),
-        {(0, 1): 2},
-        frozenset({2}),
-    )
+    forced = GallaiPartition(((0, 3), (1, 2)), _q(2, {(0, 1): 2}))
     ok, why = validate_partition(g, forced)
     assert not ok and "between parts" in why
 
@@ -150,11 +179,8 @@ def test_more_than_two_between_colors_rejected():
     # three parts pairwise joined by three different colors would be rainbow;
     # craft the partition record directly to make sure validation catches it
     g = ColoredCompleteGraph(3, 3, [1, 2, 3])
-    p = GallaiPartition(
-        ((0,), (1,), (2,)),
-        {(0, 1): 1, (0, 2): 2, (1, 2): 3},
-        frozenset({1, 2, 3}),
-    )
+    p = GallaiPartition(((0,), (1,), (2,)), _q(3, {(0, 1): 1, (0, 2): 2, (1, 2): 3}))
+    assert p.between_colors == frozenset({1, 2, 3})
     ok, why = validate_partition(g, p)
     assert not ok and "at most 2" in why
 
@@ -182,7 +208,7 @@ def test_reduced_graph_of_blow_up():
 
 def test_reduced_graph_rejects_invalid_partition():
     g = two_clique_example(4, 1, 2)
-    bogus = GallaiPartition(((0, 1, 2, 3, 4, 5),), {}, frozenset())
+    bogus = GallaiPartition(((0, 1, 2, 3, 4, 5),), _q(1, {}))
     with pytest.raises(ValueError):
         reduced_graph(g, bogus)
 
@@ -198,6 +224,12 @@ def test_random_sweep_validates():
         assert ok, (n, k, why)
         red = reduced_graph(g, p)
         assert red.n == len(p.parts)
+        quotient = p.to_json_dict()["quotient"]
+        assert [(e["i"], e["j"], e["color"]) for e in quotient] == [
+            (i, j, red.color_of(i, j)) for i in range(red.n) for j in range(i + 1, red.n)
+        ]
+        assert p.between_colors == {e["color"] for e in quotient}
+        assert p.to_json_dict()["between_colors"] == sorted(set(red.edge_colors().tolist()))
         # reduced graph re-partitions (or is a single edge) without rainbow
         if red.n >= 2:
             q = gallai_partition(red)

@@ -11,6 +11,7 @@ from conftest import colorings
 from gallai_forge.graphs import (
     ColoredCompleteGraph,
     GcgFormatError,
+    _tokenize,
     decode,
     encode,
     iter_bits,
@@ -57,6 +58,15 @@ def test_construction_validation():
     assert "3" in str(exc.value)
     with pytest.raises(ValueError):
         ColoredCompleteGraph(3, 2, [1, 0, 1])
+
+
+def test_construction_copies_the_callers_array():
+    colors = np.array([1, 2, 1], dtype=np.uint16)
+    g = ColoredCompleteGraph(3, 2, colors)
+    assert colors.flags.writeable
+    colors[0] = 2
+    assert g.color_of(1, 0) == 1
+    assert not g.edge_colors().flags.writeable
 
 
 def test_color_of_rejects_bad_pairs():
@@ -178,6 +188,36 @@ def test_decode_error_column_points_at_token():
         decode("gcg 1\n3 2\n1\n1 9\n")
     assert exc.value.line == 4
     assert exc.value.column == 3
+
+
+@pytest.mark.parametrize(
+    "row,column",
+    [
+        ("1\t9", 3),  # a tab is one column
+        ("1 9# x", 3),  # a comment glued to a token is not part of it
+        ("x#9", 1),
+        ("1\u30009", 3),  # a non-ASCII space separates tokens
+        ("\xa01 9", 4),
+    ],
+)
+def test_decode_error_column_after_tabs_comments_and_unicode_spaces(row, column):
+    with pytest.raises(GcgFormatError) as exc:
+        decode(f"gcg 1\n3 2\n1\n{row}\n")
+    assert (exc.value.line, exc.value.column) == (4, column)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(line=st.text(alphabet="09x# \t\x0b\x0c\x1c\x85\xa0\u2000\u2028\u3000\u00b2\u200b", max_size=20))
+def test_tokenize_matches_isspace_oracle(line):
+    body = line.split("#", 1)[0]
+    tokens, start = [], None
+    for i, ch in enumerate(body + " "):
+        if ch.isspace() and start is not None:
+            tokens.append((body[start:i], start + 1))
+            start = None
+        elif not ch.isspace() and start is None:
+            start = i
+    assert _tokenize(line) == tokens
 
 
 def test_new_uniform():
