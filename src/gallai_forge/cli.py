@@ -19,7 +19,7 @@ import sys
 import time
 
 from .constructions import lower_bound_recipe, random_gallai
-from .decompose import RainbowTrianglePresent, gallai_partition, reduced_graph
+from .decompose import RainbowTrianglePresent, gallai_partition
 from .formulas import (
     TARGET_FAMILIES,
     describe_cycle,
@@ -116,12 +116,12 @@ def _cmd_decompose(args: argparse.Namespace):
     except RainbowTrianglePresent as exc:
         result = {"holds": False, "rainbow_triangle": exc.witness.to_json_dict()}
         return echo, result, 1
-    reduced = reduced_graph(graph, partition)
-    rows = [[int(reduced.color_of(i, j)) for j in range(i)] for i in range(1, reduced.n)]
+    # gallai_partition has validated the partition, so its quotient rows are the reduced graph
+    q = partition.quotient.tolist()
     result = {
         "holds": True,
         "partition": partition.to_json_dict(),
-        "reduced": {"order": reduced.n, "rows": rows},
+        "reduced": {"order": len(q), "rows": [q[i][:i] for i in range(1, len(q))]},
     }
     return echo, result, 0
 

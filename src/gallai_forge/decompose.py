@@ -5,7 +5,10 @@ triangle splits into at least two parts such that at most two colors appear
 between parts and each pair of parts is joined monochromatically.  The
 extractor below searches candidate between-color sets S of size one or two:
 vertices connected by edges colored outside S must share a part, and parts
-joined by more than one color must merge.
+joined by more than one color must merge.  The components outside S come
+from a search over per-color neighbor bitmasks, packed once per call; most
+candidates leave K_n connected, and the search stops as soon as its first
+component has reached every vertex.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .graphs import ColoredCompleteGraph
+from .graphs import ColoredCompleteGraph, _row_masks, iter_bits
 from .patterns import WitnessEmbedding, find_rainbow_triangle
 
 
@@ -60,11 +63,38 @@ class GallaiPartition:
         }
 
 
-def _components_outside(square: np.ndarray, color_set: tuple[int, ...]) -> tuple[np.ndarray, int]:
-    adj = ~np.isin(square, color_set)
-    np.fill_diagonal(adj, False)
-    count, labels = connected_components(csr_matrix(adj), directed=False)
-    return labels, int(count)
+def _components_outside(
+    masks: dict[int, list[int]], color_set: tuple[int, ...], n: int
+) -> tuple[np.ndarray, int]:
+    """Label the components of K_n without its edges colored in ``color_set``.
+
+    ``masks[c][v]`` is v's neighbor bitmask in color c, so a popped vertex v
+    reaches every unseen vertex outside the OR of its masks over the set.
+    When the first component reaches every vertex, often after a few pops,
+    the search returns at once with all labels 0.
+    """
+    rows = [masks[c] for c in color_set]
+    labels = np.zeros(n, dtype=np.intp)
+    unseen = (1 << n) - 1
+    count = 0
+    while unseen:
+        frontier = component = unseen & -unseen
+        unseen ^= frontier
+        while frontier and unseen:
+            low = frontier & -frontier
+            frontier ^= low
+            v = low.bit_length() - 1
+            reached = unseen
+            for row in rows:
+                reached &= ~row[v]
+            unseen ^= reached
+            frontier |= reached
+            component |= reached
+        if count == 0 and not unseen:
+            return labels, 1
+        labels[list(iter_bits(component))] = count
+        count += 1
+    return labels, count
 
 
 def _merge_bichromatic(square: np.ndarray, labels: np.ndarray, count: int) -> tuple[np.ndarray, int]:
@@ -125,8 +155,10 @@ def gallai_partition(graph: ColoredCompleteGraph) -> GallaiPartition:
     square = graph.as_square()
     # a color with no edges leaves K_n connected alone and adds nothing to a pair
     used = np.unique(graph.edge_colors()).tolist()
+    # packed per call, not cached through graph.color_masks, so they die on return
+    masks = {c: _row_masks(square == c) for c in used}
     for color_set in [(c,) for c in used] + list(combinations(used, 2)):
-        labels, count = _components_outside(square, color_set)
+        labels, count = _components_outside(masks, color_set, graph.n)
         if count < 2:
             continue
         labels, count = _merge_bichromatic(square, labels, count)

@@ -43,6 +43,12 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _row_masks(hits: np.ndarray) -> list[int]:
+    """Row i of a boolean matrix as an int whose bit j is ``hits[i, j]``."""
+    packed = np.packbits(hits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 class GcgFormatError(ValueError):
     """Malformed GCG text; carries the 1-based line and column of the fault."""
 
@@ -119,10 +125,7 @@ class ColoredCompleteGraph:
             raise ValueError(f"color {c} out of range 1..{self.k}")
         masks = self._masks.get(c)
         if masks is None:
-            hits = self.as_square() == c
-            packed = np.packbits(hits, axis=1, bitorder="little")
-            masks = [int.from_bytes(packed[i].tobytes(), "little") for i in range(self.n)]
-            self._masks[c] = masks
+            masks = self._masks[c] = _row_masks(self.as_square() == c)
         return masks
 
     def neighbors_in_color(self, v: int, c: int) -> int:

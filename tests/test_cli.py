@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from gallai_forge.cli import main
 from gallai_forge.constructions import random_gallai
-from gallai_forge.graphs import decode, encode
+from gallai_forge.graphs import MAX_COLOR, decode, encode
 from gallai_forge.repro import _child_env
 
 
@@ -286,6 +286,53 @@ def test_ramsey_always_answers_with_one_envelope(family, s, t, n_max, max_nodes)
         assert n_max is not None and set(result) == {"error", "reason"}
     else:
         assert "error" in result
+
+
+FAMILIES = st.sampled_from(["star-plus", "path-plus"])
+AROUND_FOUR = st.integers(-1, 7)  # the target-order bound t >= 4
+
+
+@st.composite
+def small_argv(draw) -> tuple[list[str], bool]:
+    """argv for construct, random or a formula with small integers around each
+    documented bound, and whether every value lies inside its bounds."""
+    command = draw(st.sampled_from(["construct", "random", "gr", "ramsey", "cycle", "even-cycle-bounds"]))
+    if command == "construct":
+        t, k = draw(AROUND_FOUR), draw(st.integers(-1, 6))  # orders stay at or below 300
+        return ["construct", "--family", draw(FAMILIES), "-t", str(t), "-k", str(k)], t >= 4 and k >= 1
+    if command == "random":
+        n = draw(st.integers(-1, 300))
+        k = draw(st.one_of(st.integers(-1, 8), st.integers(MAX_COLOR - 1, MAX_COLOR + 1)))
+        seed = draw(st.integers(-5, 2**64))
+        return ["random", "-n", str(n), "-k", str(k), "--seed", str(seed)], n >= 1 and 1 <= k <= MAX_COLOR
+    if command == "gr":
+        t, k = draw(AROUND_FOUR), draw(st.integers(-1, 9))
+        return ["formula", "gr", "--family", draw(FAMILIES), "-t", str(t), "-k", str(k)], t >= 4 and k >= 1
+    if command == "ramsey":
+        s, t = draw(AROUND_FOUR), draw(AROUND_FOUR)
+        return ["formula", "ramsey", "--family", draw(FAMILIES), "-s", str(s), "-t", str(t)], min(s, t) >= 4
+    if command == "cycle":
+        m, n = draw(st.integers(-1, 9)), draw(st.integers(-1, 9))
+        return ["formula", "cycle", "-m", str(m), "-n", str(n)], 3 <= m <= n and (m, n) not in ((3, 3), (4, 4))
+    n, k = draw(st.integers(-1, 5)), draw(st.integers(-1, 5))
+    return ["formula", "even-cycle-bounds", "-n", str(n), "-k", str(k)], n >= 2 and k >= 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=small_argv())
+def test_construct_random_and_formula_answer_with_one_envelope(case):
+    argv, in_bounds = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if argv[0] != "formula":
+            argv = argv + ["-o", os.path.join(tmp, "out.gcg")]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    report = json.loads(out.getvalue())  # one JSON document and nothing else
+    assert set(report) == {"command", "inputs", "result", "exit"}
+    assert report["exit"] == code and code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == in_bounds, report["result"]
 
 
 def test_formula_subcommands(capsys):

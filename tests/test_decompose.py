@@ -1,15 +1,21 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
-from conftest import rainbow_triples, recolored_gallai
+from conftest import colorings, rainbow_triples, recolored_gallai
 from gallai_forge.constructions import (
     blow_up_5,
+    lower_bound_construction,
     pentagon_k5,
     random_gallai,
     two_clique_example,
@@ -17,6 +23,7 @@ from gallai_forge.constructions import (
 from gallai_forge.decompose import (
     GallaiPartition,
     RainbowTrianglePresent,
+    _components_outside,
     gallai_partition,
     reduced_graph,
     validate_partition,
@@ -250,3 +257,47 @@ def test_partition_valid_or_refused_with_first_rainbow(case):
     else:
         ok, why = validate_partition(g, p)
         assert ok, why
+
+
+def _dense_components(square: np.ndarray, color_set: tuple[int, ...]) -> tuple[np.ndarray, int]:
+    """Reference: scipy components of the dense graph of edges colored outside the set."""
+    adj = ~np.isin(square, color_set)
+    np.fill_diagonal(adj, False)
+    count, labels = connected_components(csr_matrix(adj), directed=False)
+    return labels, int(count)
+
+
+def _blocks(labels: np.ndarray) -> set[frozenset[int]]:
+    return {frozenset(np.flatnonzero(labels == x).tolist()) for x in np.unique(labels)}
+
+
+# every edge colored 1: one component without color 2, 40 singletons without color 1
+@example(g=new_uniform(40, 1, 2))
+@example(g=random_gallai(40, 2, 3))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    g=st.one_of(
+        colorings(40, 5),
+        st.builds(random_gallai, st.integers(1, 40), st.integers(1, 5), st.integers(0, 2**32 - 1)),
+    )
+)
+def test_components_outside_match_the_dense_oracle(g):
+    square = g.as_square()
+    colors = range(1, g.k + 1)
+    masks = {c: g.color_masks(c) for c in colors}
+    for color_set in [(c,) for c in colors] + list(combinations(colors, 2)):
+        labels, count = _components_outside(masks, color_set, g.n)
+        want, want_count = _dense_components(square, color_set)
+        assert count == want_count, color_set
+        assert sorted(set(labels.tolist())) == list(range(count))
+        assert _blocks(labels) == _blocks(want), color_set
+
+
+def test_partition_bytes_are_pinned():
+    # the digest was read from the dense scipy component search, before the bitset search
+    graphs = [random_gallai(2 + 118 * i // 99, 1 + i % 6, i) for i in range(100)]
+    graphs += [lower_bound_construction(4, 3), lower_bound_construction(5, 3)]
+    digest = hashlib.sha256()
+    for g in graphs:
+        digest.update(json.dumps(gallai_partition(g).to_json_dict(), sort_keys=True).encode())
+    assert digest.hexdigest() == "48ec5d4ec14ee0f91ccd468bbff20c10bdc2175fec2e024f651273f58860500b"
