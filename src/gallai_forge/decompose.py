@@ -8,7 +8,9 @@ vertices connected by edges colored outside S must share a part, and parts
 joined by more than one color must merge.  The components outside S come
 from a search over per-color neighbor bitmasks, packed once per call; most
 candidates leave K_n connected, and the search stops as soon as its first
-component has reached every vertex.
+component has reached every vertex.  The same search finds which parts
+merge.  The rainbow check reads the graph's triangle census, so a graph
+whose detectors have run is not counted again.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .graphs import ColoredCompleteGraph, _row_masks, iter_bits
 from .patterns import WitnessEmbedding, find_rainbow_triangle
@@ -63,17 +63,14 @@ class GallaiPartition:
         }
 
 
-def _components_outside(
-    masks: dict[int, list[int]], color_set: tuple[int, ...], n: int
-) -> tuple[np.ndarray, int]:
-    """Label the components of K_n without its edges colored in ``color_set``.
+def _components(rows: list[list[int]], n: int) -> tuple[np.ndarray, int]:
+    """Label the components of the graph on vertices 0..n-1 that joins u
+    and v unless bit u is set in some ``rows[i][v]``.
 
-    ``masks[c][v]`` is v's neighbor bitmask in color c, so a popped vertex v
-    reaches every unseen vertex outside the OR of its masks over the set.
-    When the first component reaches every vertex, often after a few pops,
-    the search returns at once with all labels 0.
+    A popped vertex v reaches every unseen vertex outside the OR of its
+    rows.  When the first component reaches every vertex, often after a few
+    pops, the search returns at once with all labels 0.
     """
-    rows = [masks[c] for c in color_set]
     labels = np.zeros(n, dtype=np.intp)
     unseen = (1 << n) - 1
     count = 0
@@ -122,10 +119,14 @@ def _merge_bichromatic(square: np.ndarray, labels: np.ndarray, count: int) -> tu
         offending = np.nonzero(cmin < cmax)[0]
         if offending.size == 0:
             break
-        joins = csr_matrix((np.ones(offending.size, dtype=bool), divmod(offending, count)), shape=(count, count))
-        count, merged = connected_components(joins, directed=False)
+        joins = [0] * count
+        for i, j in zip(*(x.tolist() for x in divmod(offending, count))):
+            joins[i] |= 1 << j
+            joins[j] |= 1 << i
+        # the join graph is K_count without the pairs that are not joined
+        merged, count = _components([[~j for j in joins]], count)
         labels = merged[labels]
-    return labels, int(count)
+    return labels, count
 
 
 def _package(square: np.ndarray, labels: np.ndarray) -> GallaiPartition:
@@ -158,7 +159,8 @@ def gallai_partition(graph: ColoredCompleteGraph) -> GallaiPartition:
     # packed per call, not cached through graph.color_masks, so they die on return
     masks = {c: _row_masks(square == c) for c in used}
     for color_set in [(c,) for c in used] + list(combinations(used, 2)):
-        labels, count = _components_outside(masks, color_set, graph.n)
+        # the components of K_n without the edges colored in the set
+        labels, count = _components([masks[c] for c in color_set], graph.n)
         if count < 2:
             continue
         labels, count = _merge_bichromatic(square, labels, count)

@@ -8,6 +8,8 @@ triangle, whose two-color Ramsey number is 6, not 2*3 - 1.
 
 from __future__ import annotations
 
+import sys
+
 TARGET_FAMILIES = ("star-plus", "path-plus")
 
 
@@ -98,7 +100,21 @@ def even_cycle_gr_bounds(n: int, k: int) -> tuple[int, int]:
 
 
 def describe_gr(family: str, t: int, k: int) -> dict:
+    """The value with its branch.  Raises ValueError, naming the largest k
+    accepted for this t, when the value has more decimal digits than the
+    interpreter will print."""
     value = gr_value(family, t, k)
+    # Python 3.10 before 3.10.7 prints integers of any length
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits and value >= 10**digits:
+        lo, hi = 0, k  # the value grows with k: lo is accepted (or 0), hi is not
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if gr_value(family, t, mid) < 10**digits else (lo, mid)
+        raise ValueError(
+            f"k = {k} gives a value of more than {digits} decimal digits; "
+            f"the largest k accepted for this t is {lo}"
+        )
     return {"value": value, "branch": "even-k" if k % 2 == 0 else "odd-k"}
 
 

@@ -64,11 +64,12 @@ class ColoredCompleteGraph:
 
     ``k`` is declared, not inferred: a coloring may use fewer colors than it
     declares.  Instances never change after construction, so per-color
-    adjacency bitmasks and the square color matrix are cached on first use
-    and are safe to share across concurrent readers.
+    adjacency bitmasks, the square color matrix and the per-vertex triangle
+    census of ``patterns`` are cached on first use and are safe to share
+    across concurrent readers.
     """
 
-    __slots__ = ("n", "k", "_tri", "_masks", "_square")
+    __slots__ = ("n", "k", "_tri", "_masks", "_square", "_census")
 
     def __init__(self, n: int, k: int, colors) -> None:
         if n < 1:
@@ -91,6 +92,7 @@ class ColoredCompleteGraph:
         self._tri = tri
         self._masks: dict[int, list[int]] = {}
         self._square = None
+        self._census = None
 
     @classmethod
     def from_square(cls, n: int, k: int, square) -> "ColoredCompleteGraph":
@@ -167,12 +169,23 @@ def new_uniform(n: int, c: int, k: int) -> ColoredCompleteGraph:
 def encode(graph: ColoredCompleteGraph) -> str:
     """Serialize to GCG text.  The output is canonical: decode(encode(g)) == g
     and equal graphs encode to identical bytes."""
-    lines = [GCG_MAGIC, f"{graph.n} {graph.k}"]
     tri = graph._tri
-    for i in range(1, graph.n):
-        row = tri[i * (i - 1) // 2 : i * (i + 1) // 2]
-        lines.append(" ".join(map(str, row.tolist())))
-    return "\n".join(lines) + "\n"
+    # each color is its digits and one separator: a space, or a newline
+    # after the last color of a row
+    width = np.ones(tri.size, dtype=np.uint8)
+    for power in (10, 100, 1000, 10000):
+        width += tri >= power
+    ends = np.cumsum(width + 1, dtype=np.int64)
+    body = np.full(int(ends[-1]) if ends.size else 0, ord(" "), dtype=np.uint8)
+    rows = np.arange(1, graph.n, dtype=np.int64)
+    body[ends[rows * (rows + 1) // 2 - 1] - 1] = ord("\n")
+    ends -= 2  # now each color's last digit
+    rest = tri
+    for place in range(int(width.max(initial=0))):
+        live = width > place
+        body[ends[live] - place] = ord("0") + rest[live] % 10
+        rest = rest // 10
+    return f"{GCG_MAGIC}\n{graph.n} {graph.k}\n" + body.tobytes().decode("ascii")
 
 
 def _tokenize(line: str) -> list[tuple[str, int]]:
@@ -182,6 +195,77 @@ def _tokenize(line: str) -> list[tuple[str, int]]:
 
 def decode(text: str) -> ColoredCompleteGraph:
     """Parse GCG text; raises GcgFormatError with line/column on any fault."""
+    graph = _decode_canonical(text)
+    return graph if graph is not None else _decode_tokens(text)
+
+
+# Canonical text: the header, "<n> <k>", then row i of exactly i colors in
+# 1..k for i = 1..n-1, digits and single spaces ending in "\n", then at most
+# some lines that each start with "#" (construct appends its recipe so).
+_CANONICAL_HEAD = re.compile(rb"gcg 1\n([0-9]{1,18}) ([0-9]{1,5})\n")
+_MAX_DIGITS = 5  # of a color: MAX_COLOR has five
+_BODY_BYTES = np.zeros(256, dtype=bool)
+_BODY_BYTES[[ord(" "), ord("\n"), *range(ord("0"), ord("9") + 1)]] = True
+_COMMENT_BYTES = np.zeros(256, dtype=bool)
+_COMMENT_BYTES[[ord("\n"), *range(0x20, 0x7F)]] = True
+
+
+def _decode_canonical(text: str) -> ColoredCompleteGraph | None:
+    """The graph of canonical text, parsed with whole-array operations, or
+    None for any other text, valid or not, which the tokenizer then reads
+    and, on a fault, locates."""
+    if not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    head = _CANONICAL_HEAD.match(raw)
+    if head is None:
+        return None
+    n, k = int(head[1]), int(head[2])
+    if n < 1 or not 1 <= k <= MAX_COLOR:
+        return None
+    start = head.end()
+    stop = raw.find(b"#", start)
+    if stop < 0:
+        stop = len(raw)
+    else:
+        # only comment lines after the rows, and no byte that splits lines but "\n"
+        tail = np.frombuffer(raw, dtype=np.uint8, offset=stop)
+        if raw[stop - 1] != ord("\n") or not _COMMENT_BYTES[tail].all():
+            return None
+        if (tail[np.flatnonzero(tail[:-1] == ord("\n")) + 1] != ord("#")).any():
+            return None
+    body = np.frombuffer(raw, dtype=np.uint8, count=stop - start, offset=start)
+    if body.size == 0:
+        return ColoredCompleteGraph(n, k, []) if n == 1 else None
+    if not _BODY_BYTES[body].all() or body[0] < ord("0") or body[-1] != ord("\n"):
+        return None
+    sep = body <= ord(" ")  # a space or a newline ends each color
+    if (sep[1:] & sep[:-1]).any():  # a double space or an empty row
+        return None
+    seps = np.flatnonzero(sep)
+    lines = np.flatnonzero(body[seps] == ord("\n"))  # each row's last color
+    if lines.size != n - 1 or seps.size != n * (n - 1) // 2:
+        return None
+    rows = np.arange(1, n, dtype=np.int64)
+    if (lines != rows * (rows + 1) // 2 - 1).any():
+        return None
+    width = np.diff(seps, prepend=-1) - 1
+    longest = int(width.max())
+    if longest > _MAX_DIGITS:
+        return None
+    starts = seps - width
+    tri = body[starts].astype(np.uint32) - ord("0")
+    for place in range(1, longest):
+        live = width > place
+        tri[live] = tri[live] * 10 + body[starts[live] + place] - ord("0")
+    if (tri < 1).any() or (tri > k).any():
+        return None
+    return ColoredCompleteGraph(n, k, tri)
+
+
+def _decode_tokens(text: str) -> ColoredCompleteGraph:
+    """Parse any GCG text token by token; every fault raises GcgFormatError
+    at its line and column."""
     significant = []  # (line_no, tokens)
     for line_no, line in enumerate(text.splitlines(), start=1):
         tokens = _tokenize(line)

@@ -8,11 +8,17 @@ brute_force_find enumerates vertex subsets and role assignments straight
 from the definitions and is kept independent so the two can be checked
 against each other.
 
-find_rainbow_triangle counts, then locates.  In a complete graph the number
-of rainbow triangles follows from per-color degrees and the number of
-monochromatic triangles (_rainbow_count), which packed bitsets give in
-O(n^3/64) word operations; only a coloring whose count is positive pays for
-the O(n^3) scan that finds the lexicographically first witness.
+find_rainbow_triangle and the detectors for patterns with a triangle
+through role 0 (star-plus, path-plus) read one per-vertex triangle census
+(_census), counted once per graph from packed neighbor bitsets in
+O(n^3/64) word operations and kept on the graph.  For each color c with a
+monochromatic triangle it holds d_c(v) and T_c(v), the number of
+c-triangles through v; for every vertex it holds r(v), the number of
+rainbow triangles through v, which follows from the per-color degrees,
+c-paths and T_c by Goodman's cherry argument.  A coloring with r = 0 is
+rainbow-free; otherwise the first witness starts at the least v with
+r(v) > 0, and only that row is scanned.  The detectors start only from
+vertices with T_c(v) > 0 and skip a color with no triangle.
 """
 
 from __future__ import annotations
@@ -136,67 +142,113 @@ def _color_range(graph: ColoredCompleteGraph, c: int | None) -> range | tuple[in
     return (c,)
 
 
-# _rainbow_count gathers bitset rows a block of edges at a time; a block's
-# rows take about this many bytes at most (one row of edges when n is huge).
+# The census packs neighbor rows a block of colors at a time and gathers
+# them a block of edges at a time; each block takes about this many bytes at
+# most (one color, or one row of edges, when n is huge).
 _COUNT_BLOCK_BYTES = 1 << 22
 
 
-def _rainbow_count(graph: ColoredCompleteGraph) -> int:
-    """Number of rainbow triangles, without enumerating triangles.
+@dataclass(frozen=True, eq=False)
+class _Census:
+    """Per-vertex triangle counts.  For each color c that has a monochromatic
+    triangle, ``degree[c][v]`` is d_c(v) and ``triangles[c][v]`` is T_c(v),
+    the number of c-colored triangles through v; ``rainbow[v]`` is r(v), the
+    number of rainbow triangles through v."""
 
-    Every pair of edges at a vertex closes a triangle, so counting the
-    same-colored pairs (cherries) at each vertex counts each monochromatic
-    triangle three times, each two-colored one once and each rainbow one
-    never (Goodman's argument):
-        rainbow = C(n, 3) - sum_v sum_c C(d_c(v), 2) + 2 * monochromatic.
-    Monochromatic triangles are sum over c-colored edges uw of
-    |N_c(u) & N_c(w)|, divided by 3, read off packed neighbor rows.
+    degree: dict[int, np.ndarray]
+    triangles: dict[int, np.ndarray]
+    rainbow: np.ndarray
+
+    def starts(self, c: int, need: int) -> np.ndarray:
+        """Vertices on a c-colored triangle with c-degree at least ``need``."""
+        return np.flatnonzero((self.triangles[c] > 0) & (self.degree[c] >= need))
+
+
+def _census(graph: ColoredCompleteGraph) -> _Census:
+    """The graph's census, counted on first use and kept on the graph.
+
+    Packed neighbor rows give, per c-colored edge uw, the number
+    |N_c(u) & N_c(w)| of c-triangles on it; added onto both endpoints, these
+    sum to 2 T_c(v) at v.  Of the C(n-1, 2) triangles through v, the ones
+    with two or three edges of color c number
+        C(d_c(v), 2) + sum_{x in N_c(v)} d_c(x) - d_c(v) - 2 T_c(v)
+    (two c-edges at v, or a c-path v-x-y; a c-triangle is met three times),
+    and a triangle is rainbow iff it has no such color, so r(v) is what the
+    colors leave of C(n-1, 2).
     """
+    census = graph._census
+    if census is not None:
+        return census
     n = graph.n
-    used = np.unique(graph.edge_colors())
-    if used.size < 3:
-        return 0
+    tri = graph.edge_colors()
     square = graph.as_square()
+    used = np.flatnonzero(np.bincount(tri))  # the colors on some edge, ascending
     row_bytes = -(-n // 64) * 8  # whole 64-bit words per row
-    step = max(1, _COUNT_BLOCK_BYTES // (n * row_bytes))
-    cherries = mono = 0
-    for c in used:
-        hits = square == c
-        deg = np.count_nonzero(hits, axis=1)
-        cherries += int((deg * (deg - 1)).sum()) // 2
-        rows = np.zeros((n, row_bytes), dtype=np.uint8)
-        rows[:, : -(-n // 8)] = np.packbits(hits, axis=1)
+    ones = np.ones(row_bytes // 8, dtype=np.float32)  # sums a row of word popcounts
+    step = max(1, _COUNT_BLOCK_BYTES // (n * row_bytes))  # colors, or rows of edges, per block
+    degree, triangles = {}, {}
+    lost = np.zeros(n)  # triangles through each vertex with a repeated color
+    for c0 in range(0, used.size, step):
+        colors = used[c0 : c0 + step]
+        # rows[i, v]: v's neighbors in colors[i], packed into 64-bit words
+        rows = np.zeros((colors.size, n, row_bytes), dtype=np.uint8)
+        for i, c in enumerate(colors):
+            rows[i, :, : -(-n // 8)] = np.packbits(square == c, axis=1)
         words = rows.view(np.uint64)
-        # the c-colored edges u < w, a bounded block of rows u at a time
-        for u0 in range(0, n, step):
-            iu, iw = np.nonzero(np.triu(hits[u0 : u0 + step], u0 + 1))
-            common = words[iu + u0]
-            common &= words[iw]
-            mono += int(np.bitwise_count(common).sum(dtype=np.int64))
-    return n * (n - 1) * (n - 2) // 6 - cherries + 2 * (mono // 3)
+        deg = np.bitwise_count(words).sum(axis=2, dtype=np.int64)
+        ends = np.zeros(colors.size * n)  # 2 T_c(v): |N_c(u) & N_c(w)| over the c-edges uw at v
+        paths = np.zeros(colors.size * n)  # c-paths v-x-y with y != v, from each v
+        for u0 in range(1, n, step):
+            # the edges u > w of rows u0.., in flat order, with a color here
+            us = np.arange(u0, min(n, u0 + step))
+            u = np.repeat(us, us)
+            first = u0 * (u0 - 1) // 2
+            w = np.arange(first, first + u.size) - u * (u - 1) // 2
+            ci = np.searchsorted(used, tri[first : first + u.size]) - c0
+            if colors.size < used.size:  # keep the edges whose color is in this block
+                here = (ci >= 0) & (ci < colors.size)
+                u, w, ci = u[here], w[here], ci[here]
+            common = words[ci, u]
+            common &= words[ci, w]
+            on_edge = np.bitwise_count(common).astype(np.float32) @ ones
+            at_u, at_w = ci * n + u, ci * n + w
+            ends += np.bincount(at_u, on_edge, ends.size) + np.bincount(at_w, on_edge, ends.size)
+            paths += np.bincount(at_u, deg[ci, w] - 1, paths.size)
+            paths += np.bincount(at_w, deg[ci, u] - 1, paths.size)
+        ends = ends.reshape(colors.size, n)
+        lost += (deg * (deg - 1) / 2 + paths.reshape(colors.size, n) - ends).sum(axis=0)
+        for c, d, e in zip(colors.tolist(), deg, ends):
+            if e.any():
+                degree[c], triangles[c] = d, e.astype(np.int64) // 2
+    rainbow = (n - 1) * (n - 2) // 2 - lost.astype(np.int64)
+    census = graph._census = _Census(degree, triangles, rainbow)
+    return census
+
+
+def _rainbow_count(graph: ColoredCompleteGraph) -> int:
+    """Number of rainbow triangles: each lies on three vertices."""
+    return int(_census(graph).rainbow.sum()) // 3
 
 
 def find_rainbow_triangle(graph: ColoredCompleteGraph) -> WitnessEmbedding | None:
     """First triangle with three pairwise distinct edge colors, scanning
     ordered triples u < v < w lexicographically.
 
-    Deciding and locating are separate steps: _rainbow_count settles whether
-    any rainbow triangle exists, and only then does the row-by-row scan run
-    to return the first one."""
-    if _rainbow_count(graph) == 0:
+    The census decides: the first vertex of the first witness is the least
+    v with r(v) > 0, so only that vertex's row is scanned.  A coloring with
+    fewer than three colors is rainbow-free without one."""
+    if np.count_nonzero(np.bincount(graph.edge_colors())) < 3:
         return None
-    n = graph.n
+    hit = np.flatnonzero(_census(graph).rainbow)
+    if hit.size == 0:
+        return None
+    u = int(hit[0])
     m = graph.as_square()
-    for u in range(n - 2):
-        a = m[u, u + 1 :]
-        sub = m[u + 1 :, u + 1 :]
-        bad = (a[:, None] != a[None, :]) & (sub != a[:, None]) & (sub != a[None, :])
-        iv, iw = np.nonzero(np.triu(bad, 1))
-        if iv.size:
-            return WitnessEmbedding(
-                Pattern.clique(3), None, (u, int(iv[0]) + u + 1, int(iw[0]) + u + 1)
-            )
-    return None
+    a = m[u, u + 1 :]
+    sub = m[u + 1 :, u + 1 :]
+    bad = (a[:, None] != a[None, :]) & (sub != a[:, None]) & (sub != a[None, :])
+    iv, iw = np.nonzero(np.triu(bad, 1))
+    return WitnessEmbedding(Pattern.clique(3), None, (u, int(iv[0]) + u + 1, int(iw[0]) + u + 1))
 
 
 @functools.cache
@@ -247,27 +299,37 @@ def _walk(steps, d: int, assign, used: int, adj: list[int]) -> bool:
     return False
 
 
-def _star_plus_scan(graph: ColoredCompleteGraph, p: Pattern, colors) -> WitnessEmbedding | None:
-    # a center with >= t-1 same-colored neighbors, two of them adjacent in
-    # that color; much faster than the walker on large clean inputs
+@functools.cache
+def _role_zero_on_triangle(p: Pattern) -> bool:
+    """Whether role 0 lies on a triangle of the pattern, so that a copy can
+    start only from a vertex on a monochromatic triangle."""
+    nbrs = {j for i, j in p.edges() if i == 0} | {i for i, j in p.edges() if j == 0}
+    return any({i, j} <= nbrs for i, j in p.edges())
+
+
+def _star_plus_scan(graph: ColoredCompleteGraph, p: Pattern, colors, census: _Census) -> WitnessEmbedding | None:
+    # the first center: a vertex with >= t-1 same-colored neighbors, two of
+    # them adjacent in that color, i.e. on a triangle of that color
     need = p.size - 1
     for cc in colors:
+        centers = census.starts(cc, need)
+        if centers.size == 0:
+            continue
+        v = int(centers[0])
         masks = graph.color_masks(cc)
-        for v in range(graph.n):
-            mv = masks[v]
-            if mv.bit_count() < need:
-                continue
-            for u in iter_bits(mv):
-                common = masks[u] & mv
-                if common:
-                    w = (common & -common).bit_length() - 1
-                    leaves = [u, w]
-                    for x in iter_bits(mv):
-                        if len(leaves) == need:
-                            break
-                        if x != u and x != w:
-                            leaves.append(x)
-                    return WitnessEmbedding(p, cc, (v, *leaves))
+        mv = masks[v]
+        for u in iter_bits(mv):  # v is on a triangle, so some u shares a neighbor w
+            common = masks[u] & mv
+            if common:
+                break
+        w = (common & -common).bit_length() - 1
+        leaves = [u, w]
+        for x in iter_bits(mv):
+            if len(leaves) == need:
+                break
+            if x != u and x != w:
+                leaves.append(x)
+        return WitnessEmbedding(p, cc, (v, *leaves))
     return None
 
 
@@ -275,23 +337,35 @@ def contains_pattern(graph: ColoredCompleteGraph, p: Pattern, c: int | None = No
     """First monochromatic copy of ``p``, in color ``c`` or, with c=None, in
     colors 1..k tried in ascending order.  The witness is the
     lexicographically first embedding (v_0, ..., v_{size-1}) in the canonical
-    role order of Pattern within the first color that has one."""
+    role order of Pattern within the first color that has one.
+
+    When role 0 lies on the pattern's triangle (star-plus, path-plus, and
+    cliques and cycles on three vertices), the search starts only from the
+    vertices that the census puts on a triangle of the color, and skips a
+    color with no triangle."""
     colors = _color_range(graph, c)
-    if p.kind == "star-plus":
-        return _star_plus_scan(graph, p, colors)
     if p.size > graph.n:
         return None
+    census = _census(graph) if _role_zero_on_triangle(p) else None
+    if census is not None:
+        colors = [cc for cc in sorted(census.triangles) if cc in colors]
+    if p.kind == "star-plus":
+        return _star_plus_scan(graph, p, colors, census)
     # the canonical role order is the plan order, so the depth-first walk
     # meets embeddings in lexicographic order
     steps = _plan(p)
     need = sum(0 in prevs for _, prevs, _ in steps)  # role 0's pattern degree
     for cc in colors:
-        masks = graph.color_masks(cc)
-        for v in range(graph.n):
-            if masks[v].bit_count() >= need:
-                assign = [v] * p.size
-                if _walk(steps, 1, assign, 1 << v, masks):
-                    return WitnessEmbedding(p, cc, tuple(assign))
+        if census is None:
+            masks = graph.color_masks(cc)
+            starts = (v for v in range(graph.n) if masks[v].bit_count() >= need)
+        else:
+            starts = census.starts(cc, need).tolist()
+            masks = graph.color_masks(cc) if starts else None
+        for v in starts:
+            assign = [v] * p.size
+            if _walk(steps, 1, assign, 1 << v, masks):
+                return WitnessEmbedding(p, cc, tuple(assign))
     return None
 
 

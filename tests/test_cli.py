@@ -346,6 +346,20 @@ def test_formula_subcommands(capsys):
     assert code == 0 and report["result"] == {"lower": 14, "upper": 21, "branch": "interval"}
 
 
+def test_formula_gr_bounds_k_by_the_printable_value(capsys):
+    # 5^((k-1)/2) outgrows the interpreter's integer-to-text limit; the
+    # refusal names k and the largest k that still prints
+    code, report, _ = run_cli(capsys, "formula", "gr", "--family", "star-plus", "-t", "4", "-k", "20001")
+    assert code == 2 and report["inputs"]["k"] == 20001
+    error = report["result"]["error"]
+    assert error.startswith("k = 20001 ") and "conversion" not in error
+    largest = int(error.rsplit(" ", 1)[1])
+    code, report, _ = run_cli(capsys, "formula", "gr", "--family", "star-plus", "-t", "4", "-k", str(largest))
+    assert code == 0 and report["result"]["value"] > 0
+    code, report, _ = run_cli(capsys, "formula", "gr", "--family", "path-plus", "-t", "4", "-k", str(largest + 1))
+    assert code == 2 and report["result"]["error"].endswith(f" is {largest}")
+
+
 def test_formula_rejects_excluded_cycles(capsys):
     code, report, _ = run_cli(capsys, "formula", "cycle", "-m", "4", "-n", "4")
     assert code == 2

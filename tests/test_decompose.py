@@ -23,7 +23,8 @@ from gallai_forge.constructions import (
 from gallai_forge.decompose import (
     GallaiPartition,
     RainbowTrianglePresent,
-    _components_outside,
+    _components,
+    _merge_bichromatic,
     gallai_partition,
     reduced_graph,
     validate_partition,
@@ -286,11 +287,61 @@ def test_components_outside_match_the_dense_oracle(g):
     colors = range(1, g.k + 1)
     masks = {c: g.color_masks(c) for c in colors}
     for color_set in [(c,) for c in colors] + list(combinations(colors, 2)):
-        labels, count = _components_outside(masks, color_set, g.n)
+        labels, count = _components([masks[c] for c in color_set], g.n)
         want, want_count = _dense_components(square, color_set)
         assert count == want_count, color_set
         assert sorted(set(labels.tolist())) == list(range(count))
         assert _blocks(labels) == _blocks(want), color_set
+
+
+def _scipy_merge(square: np.ndarray, labels: np.ndarray, count: int) -> tuple[np.ndarray, int, list[int]]:
+    """Reference: merge rounds through scipy components of the offending
+    part pairs; also returns how many pairs offended in each round."""
+    n = square.shape[0]
+    iu, iv = np.triu_indices(n, 1)
+    rounds = []
+    while count > 1:
+        pairs: dict[tuple[int, int], set[int]] = {}
+        for a, b, c in zip(labels[iu].tolist(), labels[iv].tolist(), square[iu, iv].tolist()):
+            if a != b:
+                pairs.setdefault((min(a, b), max(a, b)), set()).add(c)
+        offending = [pair for pair, colors in pairs.items() if len(colors) > 1]
+        if not offending:
+            break
+        rounds.append(len(offending))
+        rows, cols = zip(*offending)
+        joins = csr_matrix((np.ones(len(offending), dtype=bool), (rows, cols)), shape=(count, count))
+        count, merged = connected_components(joins, directed=False)
+        labels = merged[labels]
+    return labels, int(count), rounds
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(g=colorings(30, 4), parts=st.lists(st.integers(0, 9), min_size=30, max_size=30))
+def test_merge_matches_scipy_components(g, parts):
+    _, labels = np.unique(parts[: g.n], return_inverse=True)
+    count = int(labels.max()) + 1
+    square = g.as_square()
+    got, got_count = _merge_bichromatic(square, labels, count)
+    want, want_count, rounds = _scipy_merge(square, labels, count)
+    assert got_count == want_count, rounds
+    assert _blocks(got) == _blocks(want)
+    assert sorted(set(got.tolist())) == list(range(got_count))
+
+
+def test_merge_takes_rounds_with_several_offending_pairs():
+    # mostly color 1; two part pairs offend at first, and merging them
+    # makes a third offend
+    tri = [1] * 36
+    tri[5] = tri[12] = tri[18] = 3
+    tri[8] = 2
+    square = ColoredCompleteGraph(9, 3, tri).as_square()
+    labels = np.array([2, 3, 4, 1, 0, 5, 1, 0, 2])
+    got, got_count = _merge_bichromatic(square, labels, 6)
+    want, want_count, rounds = _scipy_merge(square, labels, 6)
+    assert rounds == [2, 1]
+    assert got_count == want_count == 3
+    assert _blocks(got) == _blocks(want)
 
 
 def test_partition_bytes_are_pinned():

@@ -8,9 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import colorings
+from gallai_forge.constructions import lower_bound_recipe
 from gallai_forge.graphs import (
+    MAX_COLOR,
     ColoredCompleteGraph,
     GcgFormatError,
+    _decode_canonical,
+    _decode_tokens,
     _tokenize,
     decode,
     encode,
@@ -218,6 +222,94 @@ def test_tokenize_matches_isspace_oracle(line):
         elif not ch.isspace() and start is None:
             start = i
     assert _tokenize(line) == tokens
+
+
+def _encode_by_rows(g) -> str:
+    """Reference: the row-by-row join that encode replaced."""
+    tri = g.edge_colors().tolist()
+    rows = [" ".join(map(str, tri[i * (i - 1) // 2 : i * (i + 1) // 2])) for i in range(1, g.n)]
+    return "\n".join(["gcg 1", f"{g.n} {g.k}", *rows]) + "\n"
+
+
+@st.composite
+def wide_colorings(draw, max_n: int):
+    # colors of one to five digits, declared up to MAX_COLOR
+    g = draw(colorings(max_n))
+    k = draw(st.sampled_from([g.k, 9, 10, 99, 100, 1000, 12345, MAX_COLOR]).filter(lambda k: k >= g.k))
+    labels = draw(st.lists(st.integers(1, k), min_size=g.k, max_size=g.k))
+    return ColoredCompleteGraph(g.n, k, np.array(labels, dtype=np.uint16)[g.edge_colors() - 1])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(g=wide_colorings(12))
+def test_encode_matches_the_row_join(g):
+    assert encode(g) == _encode_by_rows(g)
+    assert _decode_canonical(encode(g)) == g
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except GcgFormatError as exc:
+        return (exc.line, exc.column, exc.message)
+
+
+def _edit(draw, text: str) -> str:
+    """One of the departures from canonical text that the tokenizer must
+    judge: a mutated byte, a line break of any kind, CRLF, a tab, a double
+    space, a leading zero, a non-ASCII digit or a huge declared n."""
+    edits = ["none", "replace", "insert", "delete", "break", "crlf", "tab", "double", "zero", "unicode", "huge"]
+    edit = draw(st.sampled_from(edits))
+    if edit == "none":
+        return text
+    if edit in ("replace", "insert", "delete", "break"):
+        at = draw(st.integers(0, len(text) - (edit in ("replace", "delete"))))
+        chars = "0123456789 \n\t\r#x\x0b\x1c\x85\xa0\u00b2\u0661\u3000"
+        if edit == "break":  # str.splitlines splits at each of these
+            chars = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+        char = "" if edit == "delete" else draw(st.sampled_from(chars))
+        return text[:at] + char + text[at + (edit in ("replace", "delete")) :]
+    if edit == "crlf":
+        return text.replace("\n", "\r\n")
+    if edit == "huge":
+        lines = text.split("\n")
+        lines[1] = f"{draw(st.sampled_from([10**9, 10**17, 10**30]))} {lines[1].split()[1]}"
+        return "\n".join(lines)
+    # a space (tab, double) or a digit (zero, unicode) past the header line
+    spots = [i for i, ch in enumerate(text) if i > 5 and (ch == " " if edit in ("tab", "double") else ch.isdigit())]
+    if not spots:
+        return text
+    at = draw(st.sampled_from(spots))
+    swap = {"tab": "\t", "double": "  ", "zero": "0" + text[at], "unicode": "\u0661"}[edit]
+    return text[:at] + swap + text[at + 1 :]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(g=wide_colorings(9), recipe=st.booleans(), data=st.data())
+def test_fast_decode_agrees_with_the_tokenizer(g, recipe, data):
+    text = encode(g)
+    if recipe:  # what construct writes after the rows
+        text += f"# recipe: {lower_bound_recipe(4, 1 + g.n % 3).text()}\n"
+    assert _decode_canonical(text) == g
+    text = _edit(data.draw, text)
+    want = _outcome(_decode_tokens, text)
+    fast = _decode_canonical(text)
+    assert fast is None or fast == want
+    got = _outcome(decode, text)
+    assert got == want
+
+
+def test_fast_decode_takes_the_construct_file_and_one_vertex():
+    recipe = lower_bound_recipe(4, 3)
+    g = recipe.build()
+    assert _decode_canonical(encode(g) + f"# recipe: {recipe.text()}\n") == g
+    assert _decode_canonical("gcg 1\n1 1\n") == decode("gcg 1\n1 1\n")
+    # data after a comment, also past a line break other than "\n": the
+    # tokenizer reports it
+    for tail in ("# x\n1\n", "# x\x0b1\n", "# x\r1"):
+        text = "gcg 1\n2 1\n1\n" + tail
+        assert _decode_canonical(text) is None
+        assert _outcome(decode, text) == (5, 1, "unexpected data after row 1")
 
 
 def test_new_uniform():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
@@ -10,13 +11,14 @@ from hypothesis import strategies as st
 from conftest import colorings, rainbow_triples, recolored_gallai
 from gallai_forge import patterns
 from gallai_forge.constructions import pentagon_k5, random_gallai, two_clique_example
-from gallai_forge.graphs import MAX_COLOR, ColoredCompleteGraph, decode, encode, new_uniform
+from gallai_forge.graphs import MAX_COLOR, ColoredCompleteGraph, decode, encode, iter_bits, new_uniform
 from gallai_forge.patterns import (
     ORACLE_MAX_HOST,
     ORACLE_MAX_PATTERN,
     PATTERN_KINDS,
     Pattern,
     WitnessEmbedding,
+    _census,
     _rainbow_count,
     brute_force_find,
     contains_pattern,
@@ -151,6 +153,103 @@ def test_rainbow_count_in_small_blocks(monkeypatch, block_bytes):
     graphs += [random_gallai(n, 5, seed) for n, seed in ((30, 1), (40, 2))]
     for g in graphs:
         assert _rainbow_count(g) == len(rainbow_triples(g))
+
+
+@st.composite
+def planted(draw, max_n: int) -> ColoredCompleteGraph:
+    """A uniform random coloring with a few monochromatic triangles planted."""
+    g = draw(colorings(max_n, 5))
+    tri = g.edge_colors().copy()
+    for _ in range(draw(st.integers(0, 3)) if g.n >= 3 else 0):
+        a, b, c = draw(st.lists(st.integers(0, g.n - 1), min_size=3, max_size=3, unique=True))
+        color = draw(st.integers(1, g.k))
+        for u, v in ((a, b), (a, c), (b, c)):
+            tri[max(u, v) * (max(u, v) - 1) // 2 + min(u, v)] = color
+    return ColoredCompleteGraph(g.n, g.k, tri)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(g=planted(12))
+def test_census_counts_match_brute_force(g):
+    census = _census(g)
+    n = g.n
+    mono = np.zeros((g.k + 1, n), dtype=np.int64)
+    rainbow = np.zeros(n, dtype=np.int64)
+    for a, b, c in itertools.combinations(range(n), 3):
+        ab, ac, bc = g.color_of(a, b), g.color_of(a, c), g.color_of(b, c)
+        for v in (a, b, c):
+            if ab == ac == bc:
+                mono[ab, v] += 1
+            rainbow[v] += len({ab, ac, bc}) == 3
+    assert census.rainbow.tolist() == rainbow.tolist()
+    assert _rainbow_count(g) == int(rainbow.sum()) // 3
+    assert sorted(census.triangles) == [c for c in range(1, g.k + 1) if mono[c].any()]
+    for c, counts in census.triangles.items():
+        assert counts.tolist() == mono[c].tolist()
+        assert census.degree[c].tolist() == [g.degree_in_color(v, c) for v in range(n)]
+
+
+def _first_star_plus_scanning_every_vertex(g, t, c):
+    """Reference: the star-plus scan before the census, from every vertex."""
+    masks = g.color_masks(c)
+    for v in range(g.n):
+        mv = masks[v]
+        if mv.bit_count() < t - 1:
+            continue
+        for u in iter_bits(mv):
+            common = masks[u] & mv
+            if common:
+                w = (common & -common).bit_length() - 1
+                rest = [x for x in iter_bits(mv) if x != u and x != w][: t - 3]
+                return (v, u, w, *rest)
+    return None
+
+
+def _first_path_plus_from_every_vertex(g, t, c):
+    """Reference: the walker before the census, started at every vertex."""
+    steps = patterns._plan(Pattern.path_plus(t))
+    masks = g.color_masks(c)
+    for v in range(g.n):
+        assign = [v] * t
+        if patterns._walk(steps, 1, assign, 1 << v, masks):
+            return tuple(assign)
+    return None
+
+
+@st.composite
+def late_centers(draw, max_n: int) -> ColoredCompleteGraph:
+    """Color 1 is bipartite (so triangle-free) apart from triangles planted
+    among the last vertices, so its first center comes late; colors 2..k
+    take the other edges at random."""
+    n = draw(st.integers(6, max_n))
+    k = draw(st.integers(2, 4))
+    side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    tri = []
+    for u in range(1, n):
+        for v in range(u):
+            cross = side[u] != side[v] and draw(st.booleans())
+            tri.append(1 if cross else draw(st.integers(2, k)))
+    late = range(n - 1 - n // 3, n)
+    for _ in range(draw(st.integers(0, 3))):
+        trio = draw(st.lists(st.sampled_from(late), min_size=3, max_size=3, unique=True))
+        for u, v in itertools.combinations(sorted(trio), 2):
+            tri[v * (v - 1) // 2 + u] = 1
+    return ColoredCompleteGraph(n, k, tri)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(g=late_centers(40))
+def test_gated_detectors_keep_the_first_witness(g):
+    for t in (3, 4, 5):
+        for c in range(1, g.k + 1):
+            star = contains_pattern(g, Pattern.star_plus(t), c)
+            assert (star and star.vertices) == _first_star_plus_scanning_every_vertex(g, t, c), (t, c)
+            path = contains_pattern(g, Pattern.path_plus(t), c)
+            assert (path and path.vertices) == _first_path_plus_from_every_vertex(g, t, c), (t, c)
+            if g.n <= ORACLE_MAX_HOST:
+                for p, w in ((Pattern.star_plus(t), star), (Pattern.path_plus(t), path)):
+                    assert (w is None) == (brute_force_find(g, p, c) is None), (p, c)
+                    assert w is None or verify_witness(g, w)
 
 
 # --- monochromatic detectors ----------------------------------------------
