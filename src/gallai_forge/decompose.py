@@ -155,7 +155,7 @@ def gallai_partition(graph: ColoredCompleteGraph) -> GallaiPartition:
         raise RainbowTrianglePresent(rainbow)
     square = graph.as_square()
     # a color with no edges leaves K_n connected alone and adds nothing to a pair
-    used = np.unique(graph.edge_colors()).tolist()
+    used = graph.used_colors().tolist()
     # packed per call, not cached through graph.color_masks, so they die on return
     masks = {c: _row_masks(square == c) for c in used}
     for color_set in [(c,) for c in used] + list(combinations(used, 2)):

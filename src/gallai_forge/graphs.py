@@ -63,13 +63,13 @@ class ColoredCompleteGraph:
     """Immutable complete graph on ``n`` vertices with ``k``-colored edges.
 
     ``k`` is declared, not inferred: a coloring may use fewer colors than it
-    declares.  Instances never change after construction, so per-color
-    adjacency bitmasks, the square color matrix and the per-vertex triangle
-    census of ``patterns`` are cached on first use and are safe to share
-    across concurrent readers.
+    declares.  Instances never change after construction, so the colors in
+    use, per-color adjacency bitmasks, the square color matrix and the
+    per-vertex triangle census of ``patterns`` are cached on first use and
+    are safe to share across concurrent readers.
     """
 
-    __slots__ = ("n", "k", "_tri", "_masks", "_square", "_census")
+    __slots__ = ("n", "k", "_tri", "_used", "_masks", "_square", "_census")
 
     def __init__(self, n: int, k: int, colors) -> None:
         if n < 1:
@@ -90,6 +90,7 @@ class ColoredCompleteGraph:
         self.n = n
         self.k = k
         self._tri = tri
+        self._used = None
         self._masks: dict[int, list[int]] = {}
         self._square = None
         self._census = None
@@ -146,6 +147,16 @@ class ColoredCompleteGraph:
     def edge_colors(self) -> np.ndarray:
         """The flat lower-triangular color array (read-only view)."""
         return self._tri
+
+    def used_colors(self) -> np.ndarray:
+        """The colors on some edge, ascending (read-only, cached)."""
+        if self._used is None:
+            present = np.zeros(self.k + 1, dtype=bool)
+            present[self._tri] = True
+            used = np.flatnonzero(present)
+            used.setflags(write=False)
+            self._used = used
+        return self._used
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ColoredCompleteGraph):
@@ -263,6 +274,16 @@ def _decode_canonical(text: str) -> ColoredCompleteGraph | None:
     return ColoredCompleteGraph(n, k, tri)
 
 
+def _parse_int(tok: str, line_no: int, col: int, what: str) -> int:
+    # str.isdigit alone also accepts non-ASCII digits such as U+00B2, which int() rejects
+    if not (tok.isascii() and tok.isdigit()):
+        raise GcgFormatError(line_no, col, f"expected {what}, got {tok!r}")
+    try:
+        return int(tok)
+    except ValueError:  # longer than Python's limit on integer text
+        raise GcgFormatError(line_no, col, f"integer too long ({len(tok)} digits)") from None
+
+
 def _decode_tokens(text: str) -> ColoredCompleteGraph:
     """Parse any GCG text token by token; every fault raises GcgFormatError
     at its line and column."""
@@ -285,13 +306,7 @@ def _decode_tokens(text: str) -> ColoredCompleteGraph:
     line_no, tokens = need(1, "graph dimensions")
     if len(tokens) != 2:
         raise GcgFormatError(line_no, tokens[0][1], "expected '<n> <k>'")
-    dims = []
-    for tok, col in tokens:
-        # str.isdigit alone also accepts non-ASCII digits such as U+00B2, which int() rejects
-        if not (tok.isascii() and tok.isdigit()):
-            raise GcgFormatError(line_no, col, f"expected an integer, got {tok!r}")
-        dims.append(int(tok))
-    n, k = dims
+    n, k = (_parse_int(tok, line_no, col, "an integer") for tok, col in tokens)
     if n < 1:
         raise GcgFormatError(line_no, tokens[0][1], f"vertex count must be at least 1, got {n}")
     if not 1 <= k <= MAX_COLOR:
@@ -307,9 +322,7 @@ def _decode_tokens(text: str) -> ColoredCompleteGraph:
         if len(tokens) != i:
             raise GcgFormatError(line_no, tokens[0][1], f"row {i} has {len(tokens)} colors, expected {i}")
         for tok, col in tokens:
-            if not (tok.isascii() and tok.isdigit()):
-                raise GcgFormatError(line_no, col, f"expected an integer color, got {tok!r}")
-            value = int(tok)
+            value = _parse_int(tok, line_no, col, "an integer color")
             if not 1 <= value <= k:
                 raise GcgFormatError(line_no, col, f"color {value} out of range 1..{k}")
             tri[at] = value

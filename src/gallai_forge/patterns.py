@@ -1,12 +1,12 @@
 """Detection of rainbow triangles and small monochromatic subgraphs.
 
 Two detection routes exist on purpose.  find_rainbow_triangle and
-contains_pattern are the fast path, built on per-color neighbor bitmasks;
-every monochromatic embedding, here and in the search, goes through one
-plan builder (_plan) and one walker (_walk), except the star-plus scan.
-brute_force_find enumerates vertex subsets and role assignments straight
-from the definitions and is kept independent so the two can be checked
-against each other.
+contains_pattern are the fast path, built on per-color neighbor bitmasks.
+contains_pattern embeds every pattern kind through one plan builder
+(_plan) and one walker (_walk), which the search's generic checker shares,
+and tries only the colors that some edge has.  brute_force_find enumerates
+vertex subsets and role assignments straight from the definitions and is
+kept independent so the two can be checked against each other.
 
 find_rainbow_triangle and the detectors for patterns with a triangle
 through role 0 (star-plus, path-plus) read one per-vertex triangle census
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ColoredCompleteGraph, iter_bits
+from .graphs import ColoredCompleteGraph
 
 PATTERN_KINDS = ("star-plus", "path-plus", "cycle", "path", "star", "clique")
 
@@ -182,7 +182,7 @@ def _census(graph: ColoredCompleteGraph) -> _Census:
     n = graph.n
     tri = graph.edge_colors()
     square = graph.as_square()
-    used = np.flatnonzero(np.bincount(tri))  # the colors on some edge, ascending
+    used = graph.used_colors()
     row_bytes = -(-n // 64) * 8  # whole 64-bit words per row
     ones = np.ones(row_bytes // 8, dtype=np.float32)  # sums a row of word popcounts
     step = max(1, _COUNT_BLOCK_BYTES // (n * row_bytes))  # colors, or rows of edges, per block
@@ -237,7 +237,7 @@ def find_rainbow_triangle(graph: ColoredCompleteGraph) -> WitnessEmbedding | Non
     The census decides: the first vertex of the first witness is the least
     v with r(v) > 0, so only that vertex's row is scanned.  A coloring with
     fewer than three colors is rainbow-free without one."""
-    if np.count_nonzero(np.bincount(graph.edge_colors())) < 3:
+    if graph.used_colors().size < 3:
         return None
     hit = np.flatnonzero(_census(graph).rainbow)
     if hit.size == 0:
@@ -307,55 +307,31 @@ def _role_zero_on_triangle(p: Pattern) -> bool:
     return any({i, j} <= nbrs for i, j in p.edges())
 
 
-def _star_plus_scan(graph: ColoredCompleteGraph, p: Pattern, colors, census: _Census) -> WitnessEmbedding | None:
-    # the first center: a vertex with >= t-1 same-colored neighbors, two of
-    # them adjacent in that color, i.e. on a triangle of that color
-    need = p.size - 1
-    for cc in colors:
-        centers = census.starts(cc, need)
-        if centers.size == 0:
-            continue
-        v = int(centers[0])
-        masks = graph.color_masks(cc)
-        mv = masks[v]
-        for u in iter_bits(mv):  # v is on a triangle, so some u shares a neighbor w
-            common = masks[u] & mv
-            if common:
-                break
-        w = (common & -common).bit_length() - 1
-        leaves = [u, w]
-        for x in iter_bits(mv):
-            if len(leaves) == need:
-                break
-            if x != u and x != w:
-                leaves.append(x)
-        return WitnessEmbedding(p, cc, (v, *leaves))
-    return None
-
-
 def contains_pattern(graph: ColoredCompleteGraph, p: Pattern, c: int | None = None) -> WitnessEmbedding | None:
     """First monochromatic copy of ``p``, in color ``c`` or, with c=None, in
     colors 1..k tried in ascending order.  The witness is the
     lexicographically first embedding (v_0, ..., v_{size-1}) in the canonical
     role order of Pattern within the first color that has one.
 
-    When role 0 lies on the pattern's triangle (star-plus, path-plus, and
-    cliques and cycles on three vertices), the search starts only from the
-    vertices that the census puts on a triangle of the color, and skips a
-    color with no triangle."""
+    A copy with an edge needs a color that some edge has, so only those
+    colors are tried.  When role 0 lies on the pattern's triangle
+    (star-plus, path-plus, and cliques and cycles on three vertices), the
+    search starts only from the vertices that the census puts on a triangle
+    of the color, and skips a color with no triangle; otherwise it starts
+    from the vertices with role 0's degree in the color."""
     colors = _color_range(graph, c)
     if p.size > graph.n:
         return None
+    if p.size == 1:
+        return WitnessEmbedding(p, colors[0], (0,))
     census = _census(graph) if _role_zero_on_triangle(p) else None
-    if census is not None:
-        colors = [cc for cc in sorted(census.triangles) if cc in colors]
-    if p.kind == "star-plus":
-        return _star_plus_scan(graph, p, colors, census)
     # the canonical role order is the plan order, so the depth-first walk
     # meets embeddings in lexicographic order
     steps = _plan(p)
     need = sum(0 in prevs for _, prevs, _ in steps)  # role 0's pattern degree
-    for cc in colors:
+    for cc in graph.used_colors().tolist():
+        if cc not in colors or (census is not None and cc not in census.triangles):
+            continue
         if census is None:
             masks = graph.color_masks(cc)
             starts = (v for v in range(graph.n) if masks[v].bit_count() >= need)

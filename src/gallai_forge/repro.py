@@ -373,7 +373,11 @@ def run_criterion(criterion: Criterion, ctx: ReproContext) -> dict:
 
 
 def run_matrix(quick: bool = False, stretch: bool = False, jobs: int = 1, out_dir: str = "."):
-    """Run all criteria; returns (rows, all_pass)."""
+    """Run all criteria; returns (rows, all_pass).  Raises ValueError for a
+    job count below 1 and OSError for an unusable ``out_dir``, before any
+    criterion runs."""
+    if jobs < 1:
+        raise ValueError(f"need jobs >= 1, got {jobs}")
     os.makedirs(out_dir, exist_ok=True)
     ctx = ReproContext(quick=quick, stretch=stretch, jobs=jobs, out_dir=out_dir)
     rows = [run_criterion(criterion, ctx) for criterion in CRITERIA]

@@ -166,7 +166,7 @@ def _make_checker(p: Pattern, adj: list, deg: list):
     return hit_generic
 
 
-def _explore(n, p_red, p_blue, prefix, depth_stop, first_only, cap, deadline, on_prune):
+def _explore(n, p_red, p_blue, prefix, depth_stop, first_only, cap, deadline):
     """Iterative DFS from a fixed valid prefix up to ``depth_stop`` edges.
 
     Returns (results, nodes, prunes, truncated) where results holds complete
@@ -231,8 +231,6 @@ def _explore(n, p_red, p_blue, prefix, depth_stop, first_only, cap, deadline, on
                 if not hit[c](u, v):
                     continue
                 prunes += 1
-                if on_prune is not None:
-                    on_prune(tuple(col[:level]), (u, v), c)
                 # the backtrack below takes the pruned edge off again
             else:
                 nxt[level] = 1
@@ -253,10 +251,8 @@ def _explore(n, p_red, p_blue, prefix, depth_stop, first_only, cap, deadline, on
 
 
 def _subtree_task(args):
-    n, p_red, p_blue, prefix, cap, deadline, on_prune = args
-    results, nodes, prunes, truncated = _explore(
-        n, p_red, p_blue, prefix, n * (n - 1) // 2, True, cap, deadline, on_prune
-    )
+    n, p_red, p_blue, prefix, cap, deadline = args
+    results, nodes, prunes, truncated = _explore(n, p_red, p_blue, prefix, n * (n - 1) // 2, True, cap, deadline)
     return (results[0] if results else None, nodes, prunes, truncated)
 
 
@@ -271,7 +267,6 @@ def search_two_color(
     p_blue: Pattern,
     budget: SearchBudget | None = None,
     jobs: int = 1,
-    on_prune=None,
 ) -> SearchOutcome:
     """Decide whether some 2-coloring of K_n avoids ``p_red`` in color 1 and
     ``p_blue`` in color 2.  Returns a witness coloring (re-validated by the
@@ -282,8 +277,6 @@ def search_two_color(
         raise ValueError(f"need n >= 1, got {n}")
     if jobs < 1:
         raise ValueError(f"need jobs >= 1, got {jobs}")
-    if on_prune is not None and jobs > 1:
-        raise ValueError("prune callbacks only run in-process; use jobs=1")
     _check_target(p_red)
     _check_target(p_blue)
     cap = budget.max_nodes if budget is not None and budget.max_nodes is not None else float("inf")
@@ -296,9 +289,7 @@ def search_two_color(
         return SearchOutcome("witness", witness, 0, 0)
 
     depth = min(SPLIT_DEPTH, total - 1) if total > 1 else 0
-    prefixes, acc_nodes, acc_prunes, truncated = _explore(
-        n, p_red, p_blue, (), depth, False, cap, deadline, on_prune
-    )
+    prefixes, acc_nodes, acc_prunes, truncated = _explore(n, p_red, p_blue, (), depth, False, cap, deadline)
     if truncated is not None:
         raise BudgetExhausted(truncated, cap if truncated == "nodes" else acc_nodes)
 
@@ -309,7 +300,7 @@ def search_two_color(
             wave = prefixes[wave_start : wave_start + jobs]
             # every task in a wave gets the full remaining cap; the in-order
             # fold below restores exact sequential accounting
-            tasks = [(n, p_red, p_blue, prefix, cap - acc_nodes, deadline, on_prune) for prefix in wave]
+            tasks = [(n, p_red, p_blue, prefix, cap - acc_nodes, deadline) for prefix in wave]
             for found, nodes, prunes, truncated in (pool.map if len(wave) > 1 else map)(_subtree_task, tasks):
                 acc_nodes += nodes
                 acc_prunes += prunes

@@ -5,10 +5,11 @@ colorings that several test modules share."""
 
 import itertools
 
+import numpy as np
 from hypothesis import strategies as st
 
 from gallai_forge.constructions import random_gallai
-from gallai_forge.graphs import ColoredCompleteGraph
+from gallai_forge.graphs import MAX_COLOR, ColoredCompleteGraph
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -37,6 +38,16 @@ def colorings(draw, max_n: int, max_k: int = 6) -> ColoredCompleteGraph:
     k = draw(st.integers(1, max_k))
     size = n * (n - 1) // 2
     return ColoredCompleteGraph(n, k, draw(st.lists(st.integers(1, k), min_size=size, max_size=size)))
+
+
+@st.composite
+def wide_colorings(draw, max_n: int, max_k: int = 6) -> ColoredCompleteGraph:
+    """A coloring from ``colorings`` with its colors relabeled into colors
+    of one to five digits, declared up to MAX_COLOR; labels may repeat."""
+    g = draw(colorings(max_n, max_k))
+    k = draw(st.sampled_from([g.k, 9, 10, 99, 100, 1000, 12345, MAX_COLOR]).filter(lambda k: k >= g.k))
+    labels = draw(st.lists(st.integers(1, k), min_size=g.k, max_size=g.k))
+    return ColoredCompleteGraph(g.n, k, np.array(labels, dtype=np.uint16)[g.edge_colors() - 1])
 
 
 @st.composite

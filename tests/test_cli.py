@@ -107,6 +107,14 @@ def test_verify_malformed_input(capsys, tmp_path):
     assert "line 4" in report["result"]["error"]
 
 
+def test_verify_refuses_an_overlong_integer(capsys, tmp_path):
+    f = tmp_path / "long.gcg"
+    f.write_text("gcg 1\n" + "1" * 5000 + " 2\n")
+    code, report, _ = run_cli(capsys, "verify", str(f), "--rainbow-only")
+    assert code == 2
+    assert report["result"]["error"].startswith("malformed input: line 2, column 1:")
+
+
 def test_verify_missing_file(capsys, tmp_path):
     code, report, _ = run_cli(capsys, "verify", str(tmp_path / "nope.gcg"), "--rainbow-only")
     assert code == 2
@@ -286,6 +294,24 @@ def test_ramsey_always_answers_with_one_envelope(family, s, t, n_max, max_nodes)
         assert n_max is not None and set(result) == {"error", "reason"}
     else:
         assert "error" in result
+
+
+@pytest.mark.parametrize(
+    "jobs, out_dir_is_a_file, needle",
+    [("0", False, "need jobs >= 1, got 0"), ("-1", False, "need jobs >= 1, got -1"), ("1", True, "File exists")],
+)
+def test_repro_refuses_bad_arguments_before_any_criterion(tmp_path, jobs, out_dir_is_a_file, needle):
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("")
+    argv = ["repro", "--quick", "--jobs", jobs, "--out-dir", str(blocker if out_dir_is_a_file else tmp_path)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    report = json.loads(out.getvalue())  # one JSON document and nothing else
+    assert code == report["exit"] == 2
+    assert needle in report["result"]["error"]
+    assert "Traceback" not in err.getvalue()
+    assert "overall:" not in err.getvalue()  # no criterion ran
 
 
 FAMILIES = st.sampled_from(["star-plus", "path-plus"])

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from conftest import colorings, rainbow_triples, recolored_gallai
+from gallai_forge import decompose
 from gallai_forge.constructions import (
     blow_up_5,
     lower_bound_construction,
@@ -316,15 +318,25 @@ def _scipy_merge(square: np.ndarray, labels: np.ndarray, count: int) -> tuple[np
     return labels, int(count), rounds
 
 
+def _merge_counting_rounds(square: np.ndarray, labels: np.ndarray, count: int) -> tuple[np.ndarray, int, int]:
+    """_merge_bichromatic, and how many merge rounds it took: each round
+    searches the join graph once.  A round that under-merges leaves work to
+    a later round, so the result can still be right while the count is not."""
+    with mock.patch.object(decompose, "_components", wraps=decompose._components) as spy:
+        got, got_count = _merge_bichromatic(square, labels, count)
+    return got, got_count, spy.call_count
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(g=colorings(30, 4), parts=st.lists(st.integers(0, 9), min_size=30, max_size=30))
 def test_merge_matches_scipy_components(g, parts):
     _, labels = np.unique(parts[: g.n], return_inverse=True)
     count = int(labels.max()) + 1
     square = g.as_square()
-    got, got_count = _merge_bichromatic(square, labels, count)
+    got, got_count, got_rounds = _merge_counting_rounds(square, labels, count)
     want, want_count, rounds = _scipy_merge(square, labels, count)
     assert got_count == want_count, rounds
+    assert got_rounds == len(rounds)
     assert _blocks(got) == _blocks(want)
     assert sorted(set(got.tolist())) == list(range(got_count))
 
@@ -337,9 +349,10 @@ def test_merge_takes_rounds_with_several_offending_pairs():
     tri[8] = 2
     square = ColoredCompleteGraph(9, 3, tri).as_square()
     labels = np.array([2, 3, 4, 1, 0, 5, 1, 0, 2])
-    got, got_count = _merge_bichromatic(square, labels, 6)
+    got, got_count, got_rounds = _merge_counting_rounds(square, labels, 6)
     want, want_count, rounds = _scipy_merge(square, labels, 6)
     assert rounds == [2, 1]
+    assert got_rounds == 2
     assert got_count == want_count == 3
     assert _blocks(got) == _blocks(want)
 

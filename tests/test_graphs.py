@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import colorings
+from conftest import colorings, wide_colorings
 from gallai_forge.constructions import lower_bound_recipe
 from gallai_forge.graphs import (
     MAX_COLOR,
@@ -103,6 +103,15 @@ def test_from_square_roundtrip():
     assert g == h
 
 
+def test_used_colors_are_ascending_read_only_and_cached():
+    g = ColoredCompleteGraph(4, MAX_COLOR, [MAX_COLOR, 7, 7, 300, MAX_COLOR, 7])
+    used = g.used_colors()
+    assert used.tolist() == [7, 300, MAX_COLOR]
+    assert not used.flags.writeable
+    assert g.used_colors() is used
+    assert ColoredCompleteGraph(1, 3, []).used_colors().tolist() == []
+
+
 def test_color_masks_and_degrees():
     g = ColoredCompleteGraph(4, 2, [1, 1, 2, 2, 1, 2])
     m1 = g.color_masks(1)
@@ -177,6 +186,11 @@ def test_decode_single_vertex():
         ("gcg 1\n2 2\n\u00b2\n", 3, "integer"),
         ("gcg 1\n2 70000\n1\n", 2, "color count"),
         ("gcg 1\n1000000000 2\n1\n", 4, "unexpected end of input"),
+        # tokens longer than Python's limit on integer text
+        ("gcg 1\n" + "1" * 4400 + " 2\n", 2, "column 1: integer too long (4400 digits)"),
+        ("gcg 1\n2 " + "1" * 4400 + "\n1\n", 2, "column 3: integer too long"),
+        ("gcg 1\n2 2\n" + "1" * 4400 + "\n", 3, "column 1: integer too long"),
+        ("gcg 1\n3 2\n1\n1 " + "0" * 4400 + "1\n", 4, "column 3: integer too long (4401 digits)"),
     ],
 )
 def test_decode_errors_carry_position(text, line, needle):
@@ -229,15 +243,6 @@ def _encode_by_rows(g) -> str:
     tri = g.edge_colors().tolist()
     rows = [" ".join(map(str, tri[i * (i - 1) // 2 : i * (i + 1) // 2])) for i in range(1, g.n)]
     return "\n".join(["gcg 1", f"{g.n} {g.k}", *rows]) + "\n"
-
-
-@st.composite
-def wide_colorings(draw, max_n: int):
-    # colors of one to five digits, declared up to MAX_COLOR
-    g = draw(colorings(max_n))
-    k = draw(st.sampled_from([g.k, 9, 10, 99, 100, 1000, 12345, MAX_COLOR]).filter(lambda k: k >= g.k))
-    labels = draw(st.lists(st.integers(1, k), min_size=g.k, max_size=g.k))
-    return ColoredCompleteGraph(g.n, k, np.array(labels, dtype=np.uint16)[g.edge_colors() - 1])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

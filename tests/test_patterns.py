@@ -344,6 +344,23 @@ def test_single_vertex_patterns_hold_vacuously():
         assert verify_witness(g, w)
 
 
+def test_detectors_pack_masks_only_for_used_colors():
+    g = random_gallai(100, 2, 3)
+    # relabel 1, 2 to MAX_COLOR - 1, MAX_COLOR inside a declared k of MAX_COLOR
+    wide = ColoredCompleteGraph(g.n, MAX_COLOR, g.edge_colors().astype(np.int64) + MAX_COLOR - 2)
+    for kind in PATTERN_KINDS:
+        for size in range(1, 7):
+            try:
+                p = Pattern(kind, size)
+            except ValueError:
+                continue  # below the kind's smallest size
+            w, narrow = contains_pattern(wide, p), contains_pattern(g, p)
+            shift = 0 if size == 1 else MAX_COLOR - 2  # a single vertex is a copy in color 1
+            assert (w.color, w.vertices) == (narrow.color + shift, narrow.vertices), p
+    assert wide.used_colors().tolist() == [MAX_COLOR - 1, MAX_COLOR]
+    assert set(wide._masks) <= {MAX_COLOR - 1, MAX_COLOR}
+
+
 def test_detectors_are_deterministic():
     g = _random_coloring(8, 3, random.Random(123))
     h = decode(encode(g))

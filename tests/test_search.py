@@ -58,21 +58,29 @@ def test_verdict_matches_full_enumeration(n, pa, pb):
         assert brute_force_find(w, pb, 2) is None
 
 
-def test_every_prune_is_justified():
+def test_every_prune_is_justified(monkeypatch):
+    make_checker = search._make_checker
+
+    def checked(p, adj, deg):
+        hit = make_checker(p, adj, deg)
+
+        def hit_and_check(u, v):
+            if not hit(u, v):
+                return False
+            # the edges in this checker's color become color 1, all others color 2
+            n = len(adj)
+            g = ColoredCompleteGraph(n, 2, [1 if adj[a] >> b & 1 else 2 for a in range(1, n) for b in range(a)])
+            hits.append(brute_force_find(g, p, 1) is not None)
+            return True
+
+        return hit_and_check
+
+    monkeypatch.setattr(search, "_make_checker", checked)
     for n, pa, pb in [(6, SP4, PP4), (7, SP4, SP4)]:
-        unjustified = []
-
-        def on_prune(prefix_colors, edge, color, pa=pa, pb=pb, n=n):
-            # the search assigns edges in tri_index order; color 3 fills the rest
-            total = n * (n - 1) // 2
-            g = ColoredCompleteGraph(n, 3, [*prefix_colors, *[3] * (total - len(prefix_colors))])
-            target = pa if color == 1 else pb
-            if brute_force_find(g, target, color) is None:
-                unjustified.append((prefix_colors, edge, color))
-
-        out = search_two_color(n, pa, pb, on_prune=on_prune)
-        assert unjustified == []
-        assert out.prunes > 0
+        hits = []  # whether brute force finds the target, per hit
+        out = search_two_color(n, pa, pb)
+        assert all(hits)
+        assert len(hits) == out.prunes > 0
 
 
 def _copy_through_edge(p, color_of, n, u, v, c):
@@ -158,8 +166,6 @@ def test_argument_validation():
         search_two_color(0, TRI, TRI)
     with pytest.raises(ValueError):
         search_two_color(4, TRI, TRI, jobs=0)
-    with pytest.raises(ValueError):
-        search_two_color(4, TRI, TRI, jobs=2, on_prune=lambda *a: None)
     with pytest.raises(ValueError):
         search_two_color(4, Pattern.star(1), TRI)
 

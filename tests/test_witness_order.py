@@ -9,8 +9,9 @@ from __future__ import annotations
 import itertools
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import colorings
+from conftest import colorings, wide_colorings
 from gallai_forge.patterns import PATTERN_KINDS, Pattern, contains_pattern
 
 
@@ -23,16 +24,22 @@ def _least_embedding(graph, p, color):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(colorings(7, 3))
+@given(graph=st.one_of(colorings(7, 3), wide_colorings(7, 3)))
 def test_witness_is_least_embedding(graph):
+    # the colors on some edge, and the least and the greatest on none; a copy
+    # of a pattern with an edge has a color on some edge, and a single vertex
+    # is a copy in every color, so color 1 leads among the rest
+    used = set(graph.edge_colors().tolist())
+    unused = [c for c in range(1, graph.k + 1) if c not in used]
+    colors = sorted({1, *used, *unused[:1], *unused[-1:]})
     for kind in PATTERN_KINDS:
         for size in range(1, 6):
             try:
                 p = Pattern(kind, size)
             except ValueError:
                 continue  # below the kind's smallest size
-            least = {c: _least_embedding(graph, p, c) for c in range(1, graph.k + 1)}
-            for c in range(1, graph.k + 1):
+            least = {c: _least_embedding(graph, p, c) for c in colors}
+            for c in colors:
                 w = contains_pattern(graph, p, c)
                 assert (None if w is None else (w.color, w.vertices)) == (
                     None if least[c] is None else (c, least[c])
