@@ -24,6 +24,7 @@ vertices with T_c(v) > 0 and skip a color with no triangle.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -256,47 +257,58 @@ def _plan(p: Pattern, seeds: tuple[int, ...] = ()) -> tuple[tuple[int, tuple[int
     """Order in which the walker places the roles not in ``seeds``: next is
     the lowest-numbered unplaced role with a placed pattern neighbor (role 0
     first when nothing is seeded).  Each step is (role, its placed pattern
-    neighbors, its latest-placed twin or -1).  Twins are roles with the same
-    pattern neighbors apart from each other; swapping two is an automorphism,
-    so the walker may put a later twin above an earlier one without losing
-    any copy.  Seeds take no part in twin ordering."""
+    neighbors, its latest-placed twin or -1).  Twins are roles with equal
+    open or equal closed neighborhoods; swapping two is an automorphism, so
+    the walker may put a later twin above an earlier one without losing any
+    copy.  Seeds take no part in twin ordering.  O(edges log size)."""
     nbrs: list[list[int]] = [[] for _ in range(p.size)]
     for i, j in p.edges():
         nbrs[i].append(j)
         nbrs[j].append(i)
-    placed = list(seeds)
+    placed = set(seeds)
+    frontier = sorted({q for r in seeds for q in nbrs[r]} - placed) if seeds else [0]
+    latest: dict[tuple[bool, frozenset[int]], tuple[int, int]] = {}  # neighborhood -> (step, role)
     steps = []
-    while len(placed) < p.size:
-        q = next(
-            q for q in range(p.size) if q not in placed and (not placed or any(r in placed for r in nbrs[q]))
-        )
-        walked = placed[len(seeds) :]
-        twin = next((r for r in reversed(walked) if set(nbrs[q]) - {r} == set(nbrs[r]) - {q}), -1)
+    while frontier:
+        q = heapq.heappop(frontier)
+        if q in placed:
+            continue
+        around = frozenset(nbrs[q])
+        keys = ((False, around), (True, around | {q}))
+        twin = max((latest.get(key, (-1, -1)) for key in keys))[1]
         steps.append((q, tuple(r for r in nbrs[q] if r in placed), twin))
-        placed.append(q)
+        placed.add(q)
+        latest.update(dict.fromkeys(keys, (len(steps), q)))
+        for r in nbrs[q]:
+            heapq.heappush(frontier, r)  # popped and skipped if placed by then
     return tuple(steps)
 
 
 def _walk(steps, d: int, assign, used: int, adj: list[int]) -> bool:
     """Place the roles of steps[d:] depth-first, lowest vertex first, on the
     color whose neighbor masks are ``adj``.  ``assign`` maps the placed roles
-    to vertices and is left holding the first completion found."""
-    if d == len(steps):
-        return True
-    pos, prevs, twin = steps[d]
-    cand = adj[assign[prevs[0]]]
-    for q in prevs[1:]:
-        cand &= adj[assign[q]]
-    cand &= ~used
-    if twin >= 0:
-        cand &= -(2 << assign[twin])
-    while cand:
+    to vertices and is left holding the first completion found.  The walk
+    keeps its own stack, so a pattern of any size fits."""
+    stack = []  # (candidates left, vertices used) for each depth being tried above d
+    while d < len(steps):
+        _, prevs, twin = steps[d]
+        cand = adj[assign[prevs[0]]]
+        for q in prevs[1:]:
+            cand &= adj[assign[q]]
+        cand &= ~used
+        if twin >= 0:
+            cand &= -(2 << assign[twin])
+        while not cand:
+            if not stack:
+                return False
+            cand, used = stack.pop()
+            d -= 1
         low = cand & -cand
-        assign[pos] = low.bit_length() - 1
-        if _walk(steps, d + 1, assign, used | low, adj):
-            return True
-        cand ^= low
-    return False
+        assign[steps[d][0]] = low.bit_length() - 1
+        stack.append((cand ^ low, used))
+        used |= low
+        d += 1
+    return True
 
 
 @functools.cache
@@ -325,10 +337,8 @@ def contains_pattern(graph: ColoredCompleteGraph, p: Pattern, c: int | None = No
     if p.size == 1:
         return WitnessEmbedding(p, colors[0], (0,))
     census = _census(graph) if _role_zero_on_triangle(p) else None
-    # the canonical role order is the plan order, so the depth-first walk
-    # meets embeddings in lexicographic order
-    steps = _plan(p)
-    need = sum(0 in prevs for _, prevs, _ in steps)  # role 0's pattern degree
+    need = sum(0 in edge for edge in p.edges())  # role 0's pattern degree
+    steps = None  # planned at the first start
     for cc in graph.used_colors().tolist():
         if cc not in colors or (census is not None and cc not in census.triangles):
             continue
@@ -339,6 +349,9 @@ def contains_pattern(graph: ColoredCompleteGraph, p: Pattern, c: int | None = No
             starts = census.starts(cc, need).tolist()
             masks = graph.color_masks(cc) if starts else None
         for v in starts:
+            # the canonical role order is the plan order, so the depth-first
+            # walk meets embeddings in lexicographic order
+            steps = steps or _plan(p)
             assign = [v] * p.size
             if _walk(steps, 1, assign, 1 << v, masks):
                 return WitnessEmbedding(p, cc, tuple(assign))

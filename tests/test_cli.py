@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from gallai_forge.cli import main
 from gallai_forge.constructions import random_gallai
-from gallai_forge.graphs import MAX_COLOR, decode, encode
+from gallai_forge.graphs import MAX_COLOR, decode, encode, new_uniform
 from gallai_forge.repro import _child_env
 
 
@@ -79,6 +79,15 @@ def test_verify_clean_and_violated(capsys, tmp_path):
     target_check = report["result"]["checks"][1]
     assert target_check["found"] is True
     assert target_check["witness"]["pattern"] == "star-plus"
+
+
+def test_verify_finds_a_spanning_star_plus(capsys, tmp_path):
+    uniform = tmp_path / "u.gcg"
+    uniform.write_text(encode(new_uniform(1100, 1, 1)))
+    code, report, err = run_cli(capsys, "verify", str(uniform), "--family", "star-plus", "-t", "1100")
+    assert code == 1 and report["exit"] == 1
+    assert report["result"]["checks"][1]["witness"]["vertices"] == list(range(1100))
+    assert "Traceback" not in err
 
 
 def test_verify_rainbow_only(capsys, tmp_path):

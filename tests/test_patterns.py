@@ -361,6 +361,35 @@ def test_detectors_pack_masks_only_for_used_colors():
     assert set(wide._masks) <= {MAX_COLOR - 1, MAX_COLOR}
 
 
+def test_plan_orders_roles_and_their_twins():
+    # the two triangle leaves are adjacent twins, the plain leaves open twins
+    assert patterns._plan(Pattern.star_plus(5)) == (
+        (0, (), -1), (1, (0,), -1), (2, (0, 1), 1), (3, (0,), -1), (4, (0,), 3)
+    )
+    # seeds are placed already and take no part in twin ordering
+    assert patterns._plan(Pattern.path_plus(4), (0, 2)) == ((1, (0, 2), -1), (3, (2,), -1))
+
+
+@pytest.mark.parametrize("kind", ["star-plus", "path-plus", "cycle", "path", "star"])
+def test_patterns_as_large_as_the_host(kind):
+    # the walk is as deep as the pattern is large; one color holds every copy
+    w = contains_pattern(new_uniform(1100, 1, 1), Pattern(kind, 1100))
+    assert w.vertices == tuple(range(1100))
+
+
+def test_colors_without_a_start_build_no_plan():
+    # color 1 joins the two halves (triangle-free), color 2 fills them, so
+    # no vertex has the degree of a spanning star in either color
+    n = 1000
+    u = np.repeat(np.arange(n), np.arange(n))
+    w = np.arange(u.size) - u * (u - 1) // 2
+    g = ColoredCompleteGraph(n, 2, np.where((u < n // 2) != (w < n // 2), 1, 2))
+    patterns._plan.cache_clear()
+    for kind in ("star-plus", "star"):
+        assert contains_pattern(g, Pattern(kind, n)) is None
+    assert patterns._plan.cache_info().currsize == 0
+
+
 def test_detectors_are_deterministic():
     g = _random_coloring(8, 3, random.Random(123))
     h = decode(encode(g))

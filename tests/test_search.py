@@ -58,17 +58,36 @@ def test_verdict_matches_full_enumeration(n, pa, pb):
         assert brute_force_find(w, pb, 2) is None
 
 
+def _edges_and_rows(rows):
+    """The edges {a, b}, a < b, that ``rows`` hold, and the rows they give."""
+    n = len(rows)
+    edges = {(a, b) for b in range(n) for a in range(b) if rows[b] >> a & 1}
+    rebuilt = [0] * n
+    for a, b in edges:
+        rebuilt[a] |= 1 << b
+        rebuilt[b] |= 1 << a
+    return edges, rebuilt
+
+
 def test_every_prune_is_justified(monkeypatch):
     make_checker = search._make_checker
 
     def checked(p, adj, deg):
         hit = make_checker(p, adj, deg)
+        states.append((adj, deg))  # the search builds color 1's checker, then color 2's
 
         def hit_and_check(u, v):
+            # the colors hold the search's edges up to {u, v}, each once, with
+            # symmetric rows and their degrees; a stale backtrack breaks this
+            n = len(adj)
+            order = [(a, b) for b in range(1, n) for a in range(b)]
+            (red, red_rows), (blue, blue_rows) = (_edges_and_rows(rows) for rows, _ in states[-2:])
+            assert red | blue == set(order[: order.index((u, v)) + 1]) and not red & blue
+            assert [red_rows, blue_rows] == [rows for rows, _ in states[-2:]]
+            assert all(d == [row.bit_count() for row in rows] for rows, d in states[-2:])
             if not hit(u, v):
                 return False
             # the edges in this checker's color become color 1, all others color 2
-            n = len(adj)
             g = ColoredCompleteGraph(n, 2, [1 if adj[a] >> b & 1 else 2 for a in range(1, n) for b in range(a)])
             hits.append(brute_force_find(g, p, 1) is not None)
             return True
@@ -77,6 +96,7 @@ def test_every_prune_is_justified(monkeypatch):
 
     monkeypatch.setattr(search, "_make_checker", checked)
     for n, pa, pb in [(6, SP4, PP4), (7, SP4, SP4)]:
+        states = []  # (adjacency rows, degrees) of each checker built
         hits = []  # whether brute force finds the target, per hit
         out = search_two_color(n, pa, pb)
         assert all(hits)
