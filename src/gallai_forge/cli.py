@@ -3,6 +3,8 @@
 Every subcommand prints exactly one JSON report on stdout with the shape
 {"command", "inputs", "result", "exit"} and keeps human diagnostics (wall
 times, progress) on stderr, so pipelines can parse stdout unconditionally.
+``inputs`` echoes every flag under its long name (``_`` written as ``-``),
+after derived defaults (``ramsey -s``, ``random --seed``) are resolved.
 
 Exit codes: 0 = claim holds / artifact produced, 1 = claim violated or
 value mismatch, 2 = usage or malformed input, 3 = no verdict: the search
@@ -34,7 +36,10 @@ from .search import BudgetExhausted, NotFoundBelowCap, SearchBudget, certify_cla
 
 def _env_seed() -> int:
     raw = os.environ.get("GALLAI_FORGE_SEED", "")
-    return int(raw) if raw else 0
+    try:
+        return int(raw) if raw else 0
+    except ValueError:
+        raise ValueError(f"GALLAI_FORGE_SEED must be an integer, got {raw!r}") from None
 
 
 def _read_text(path: str) -> str:
@@ -49,12 +54,6 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _cmd_construct(args: argparse.Namespace):
-    echo = args.echo = {
-        "family": args.family,
-        "t": args.t,
-        "k": args.k,
-        "output": args.output,
-    }
     recipe = lower_bound_recipe(args.t, args.k)
     graph = recipe.build()
     path = args.output or f"construction-{args.family}-t{args.t}-k{args.k}.gcg"
@@ -68,16 +67,10 @@ def _cmd_construct(args: argparse.Namespace):
         "threshold": threshold,
     }
     sys.stderr.write(f"wrote order-{graph.n} coloring with {graph.k} colors to {path}\n")
-    return echo, result, 0
+    return result, 0
 
 
 def _cmd_verify(args: argparse.Namespace):
-    echo = args.echo = {
-        "input": args.input,
-        "family": args.family,
-        "t": args.t,
-        "rainbow-only": args.rainbow_only,
-    }
     graph = decode(_read_text(args.input))
     checks = []
     rainbow = find_rainbow_triangle(graph)
@@ -105,17 +98,16 @@ def _cmd_verify(args: argparse.Namespace):
         )
         violated = violated or witness is not None
     result = {"n": graph.n, "k": graph.k, "holds": not violated, "checks": checks}
-    return echo, result, (1 if violated else 0)
+    return result, (1 if violated else 0)
 
 
 def _cmd_decompose(args: argparse.Namespace):
-    echo = args.echo = {"input": args.input}
     graph = decode(_read_text(args.input))
     try:
         partition = gallai_partition(graph)
     except RainbowTrianglePresent as exc:
         result = {"holds": False, "rainbow_triangle": exc.witness.to_json_dict()}
-        return echo, result, 1
+        return result, 1
     # gallai_partition has validated the partition, so its quotient rows are the reduced graph
     q = partition.quotient.tolist()
     result = {
@@ -123,83 +115,55 @@ def _cmd_decompose(args: argparse.Namespace):
         "partition": partition.to_json_dict(),
         "reduced": {"order": len(q), "rows": [q[i][:i] for i in range(1, len(q))]},
     }
-    return echo, result, 0
+    return result, 0
 
 
 def _cmd_ramsey(args: argparse.Namespace):
-    s = args.s if args.s is not None else args.t
-    echo = args.echo = {
-        "family": args.family,
-        "s": s,
-        "t": args.t,
-        "n-max": args.n_max,
-        "max-nodes": args.max_nodes,
-        "max-seconds": args.max_seconds,
-        "jobs": args.jobs,
-        "out-dir": args.out_dir,
-    }
-    budget = None
-    if args.max_nodes is not None or args.max_seconds is not None:
-        budget = SearchBudget(max_nodes=args.max_nodes, max_time=args.max_seconds)
+    if args.s is None:
+        args.s = args.t
+    budget = SearchBudget(max_nodes=args.max_nodes, max_time=args.max_seconds)
     # fail on an unusable --out-dir before the search, not after it
     os.makedirs(args.out_dir, exist_ok=True)
     start = time.perf_counter()
-    report = certify_claim(args.family, s, args.t, n_max=args.n_max, budget=budget, jobs=args.jobs)
+    report = certify_claim(args.family, args.s, args.t, n_max=args.n_max, budget=budget, jobs=args.jobs)
     elapsed = time.perf_counter() - start
     certificate = report.certificate
     witness_path = os.path.join(
         args.out_dir,
-        f"witness-{args.family}-s{s}-t{args.t}-order{certificate.witness.n}.gcg",
+        f"witness-{args.family}-s{args.s}-t{args.t}-order{certificate.witness.n}.gcg",
     )
     _write_text(witness_path, encode(certificate.witness))
     sys.stderr.write(
         f"searched orders 2..{certificate.value} in {elapsed:.2f}s "
         f"({certificate.exhausted_outcome.nodes} nodes at the exhausted order)\n"
     )
-    return echo, {**report.to_json_dict(), "witness_path": witness_path}, (0 if report.matches else 1)
+    return {**report.to_json_dict(), "witness_path": witness_path}, (0 if report.matches else 1)
 
 
 def _cmd_formula(args: argparse.Namespace):
-    if args.formula == "gr":
-        echo = args.echo = {"formula": "gr", "family": args.family, "t": args.t, "k": args.k}
-        result = describe_gr(args.family, args.t, args.k)
-    elif args.formula == "ramsey":
-        echo = args.echo = {"formula": "ramsey", "family": args.family, "s": args.s, "t": args.t}
-        result = describe_ramsey(args.family, args.s, args.t)
-    elif args.formula == "cycle":
-        echo = args.echo = {"formula": "cycle", "m": args.m, "n": args.n}
-        result = describe_cycle(args.m, args.n)
-    else:
-        echo = args.echo = {"formula": "even-cycle-bounds", "n": args.n, "k": args.k}
-        result = describe_even_cycle_bounds(args.n, args.k)
+    result = args.evaluate(args)
     if "value" in result:
         sys.stderr.write(f"value {result['value']} via branch {result['branch']}\n")
     else:
         sys.stderr.write(
             f"bounds [{result['lower']}, {result['upper']}] via branch {result['branch']}\n"
         )
-    return echo, result, 0
+    return result, 0
 
 
 def _cmd_random(args: argparse.Namespace):
-    seed = args.seed if args.seed is not None else _env_seed()
-    echo = args.echo = {"n": args.n, "k": args.k, "seed": seed, "output": args.output}
-    graph = random_gallai(args.n, args.k, seed)
-    path = args.output or f"random-n{args.n}-k{args.k}-seed{seed}.gcg"
+    if args.seed is None:
+        args.seed = _env_seed()
+    graph = random_gallai(args.n, args.k, args.seed)
+    path = args.output or f"random-n{args.n}-k{args.k}-seed{args.seed}.gcg"
     _write_text(path, encode(graph))
-    result = {"n": graph.n, "k": graph.k, "seed": seed, "path": path}
-    return echo, result, 0
+    result = {"n": graph.n, "k": graph.k, "seed": args.seed, "path": path}
+    return result, 0
 
 
 def _cmd_repro(args: argparse.Namespace):
     from . import repro
 
-    echo = args.echo = {
-        "quick": args.quick,
-        "stretch": args.stretch,
-        "jobs": args.jobs,
-        "out-dir": args.out_dir,
-    }
     rows, all_pass = repro.run_matrix(
         quick=args.quick, stretch=args.stretch, jobs=args.jobs, out_dir=args.out_dir
     )
@@ -212,7 +176,7 @@ def _cmd_repro(args: argparse.Namespace):
     # wall times stay on stderr so stdout is reproducible byte for byte
     stdout_rows = [{k: v for k, v in row.items() if k != "seconds"} for row in rows]
     result = {"criteria": stdout_rows, "all_pass": all_pass}
-    return echo, result, (0 if all_pass else 1)
+    return result, (0 if all_pass else 1)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -260,16 +224,20 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--family", required=True, choices=TARGET_FAMILIES)
     q.add_argument("-t", type=int, required=True)
     q.add_argument("-k", type=int, required=True)
+    q.set_defaults(evaluate=lambda a: describe_gr(a.family, a.t, a.k))
     q = fsub.add_parser("ramsey", help="two-color value for star-plus/path-plus targets")
     q.add_argument("--family", required=True, choices=TARGET_FAMILIES)
     q.add_argument("-s", type=int, required=True)
     q.add_argument("-t", type=int, required=True)
+    q.set_defaults(evaluate=lambda a: describe_ramsey(a.family, a.s, a.t))
     q = fsub.add_parser("cycle", help="two-color cycle-versus-cycle value")
     q.add_argument("-m", type=int, required=True, help="shorter cycle length")
     q.add_argument("-n", type=int, required=True, help="longer cycle length")
+    q.set_defaults(evaluate=lambda a: describe_cycle(a.m, a.n))
     q = fsub.add_parser("even-cycle-bounds", help="k-color bounds for an even cycle")
     q.add_argument("-n", type=int, required=True, help="half the cycle length")
     q.add_argument("-k", type=int, required=True)
+    q.set_defaults(evaluate=lambda a: describe_even_cycle_bounds(a.n, a.k))
     p.set_defaults(handler=_cmd_formula)
 
     p = sub.add_parser("random", help="write a seeded random rainbow-free coloring")
@@ -289,23 +257,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# namespace entries that are not flags: the subcommand, its handler, the formula
+_NOT_ECHOED = ("command", "handler", "evaluate")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        inputs, result, code = args.handler(args)
+        result, code = args.handler(args)
     except GcgFormatError as exc:
-        inputs = getattr(args, "echo", {})
         result, code = {"error": f"malformed input: {exc}"}, 2
     except (OSError, ValueError, MemoryError) as exc:
-        inputs = getattr(args, "echo", {})
         result, code = {"error": str(exc)}, 2
     except BudgetExhausted as exc:
-        inputs = getattr(args, "echo", {})
-        result = {"error": "budget exhausted", "reason": exc.reason, "nodes": exc.nodes}
-        code = 3
+        result, code = {"error": "budget exhausted", "reason": exc.reason, "nodes": exc.nodes}, 3
     except NotFoundBelowCap as exc:
-        inputs = getattr(args, "echo", {})
         result, code = {"error": str(exc), "reason": "n-max"}, 3
+    # handlers write derived defaults back onto args, so this echoes them resolved
+    inputs = {dest.replace("_", "-"): v for dest, v in vars(args).items() if dest not in _NOT_ECHOED}
     report = {"command": args.command, "inputs": inputs, "result": result, "exit": code}
     print(json.dumps(report, indent=2, sort_keys=True))
     return code

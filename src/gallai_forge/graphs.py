@@ -287,12 +287,13 @@ def _parse_int(tok: str, line_no: int, col: int, what: str) -> int:
 def _decode_tokens(text: str) -> ColoredCompleteGraph:
     """Parse any GCG text token by token; every fault raises GcgFormatError
     at its line and column."""
+    lines = text.splitlines()
     significant = []  # (line_no, tokens)
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(lines, start=1):
         tokens = _tokenize(line)
         if tokens:
             significant.append((line_no, tokens))
-    last_line = len(text.splitlines()) + 1
+    last_line = len(lines) + 1
 
     def need(index: int, what: str):
         if index >= len(significant):

@@ -445,6 +445,9 @@ def brute_force_find(graph: ColoredCompleteGraph, p: Pattern, c: int | None = No
     if p.size > graph.n:
         return None
     colorof = graph.color_of
+    if c is None and p.size > 1:
+        # a copy with an edge has a color that some edge has; a single vertex is a copy in color 1
+        colors = sorted({colorof(u, v) for u, v in itertools.combinations(range(graph.n), 2)})
     roles = _ROLE_FINDERS[p.kind]
     for cc in colors:
         for subset in itertools.combinations(range(graph.n), p.size):

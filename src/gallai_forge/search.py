@@ -45,7 +45,8 @@ class SearchBudget:
     def __post_init__(self):
         if self.max_nodes is not None and self.max_nodes < 1:
             raise ValueError(f"max_nodes must be positive, got {self.max_nodes}")
-        if self.max_time is not None and self.max_time <= 0:
+        # not > 0 also refuses NaN, whose deadline would never pass
+        if self.max_time is not None and not self.max_time > 0:
             raise ValueError(f"max_time must be positive, got {self.max_time}")
 
 

@@ -8,15 +8,17 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gallai_forge import repro
 from gallai_forge.cli import main
 from gallai_forge.constructions import random_gallai
 from gallai_forge.graphs import MAX_COLOR, decode, encode, new_uniform
-from gallai_forge.repro import _child_env
+from gallai_forge.repro import Criterion, _child_env
 
 
 def run_cli(capsys, *argv):
@@ -255,6 +257,17 @@ def test_ramsey_n_max_below_value_exits_3(capsys, tmp_path):
     }
 
 
+def test_ramsey_refuses_a_nan_time_budget(capsys, tmp_path):
+    code, report, err = run_cli(
+        capsys,
+        "ramsey", "--family", "star-plus", "-t", "4",
+        "--max-seconds", "nan", "--out-dir", str(tmp_path),
+    )
+    assert code == 2 and report["exit"] == 2
+    assert report["result"]["error"] == "max_time must be positive, got nan"
+    assert "Traceback" not in err
+
+
 def test_ramsey_checks_out_dir_before_searching(capsys, tmp_path):
     blocker = tmp_path / "plain-file"
     blocker.write_text("")
@@ -321,6 +334,53 @@ def test_repro_refuses_bad_arguments_before_any_criterion(tmp_path, jobs, out_di
     assert needle in report["result"]["error"]
     assert "Traceback" not in err.getvalue()
     assert "overall:" not in err.getvalue()  # no criterion ran
+
+
+def _trivial_criteria(status: str) -> list[Criterion]:
+    return [Criterion(1, "trivial", lambda ctx: (status, "done at once"), None)]
+
+
+@st.composite
+def repro_argv(draw, tmp: str) -> tuple[list[str], dict]:
+    """argv for repro under ``tmp``, and the flags as main should echo them."""
+    quick, stretch = draw(st.booleans()), draw(st.booleans())
+    jobs = draw(st.one_of(st.integers(-3, 4).map(str), st.sampled_from(["", "abc", "1.5", "0x2", "2two"])))
+    blocker = os.path.join(tmp, "plain-file")
+    with open(blocker, "w"):
+        pass
+    out_dir = draw(
+        st.sampled_from(
+            [tmp, os.path.join(tmp, "new", "nested"), blocker, os.path.join(blocker, "below")]
+        )
+    )
+    argv = ["repro", "--jobs", jobs, "--out-dir", out_dir]
+    argv += ["--quick"] * quick + ["--stretch"] * stretch
+    return argv, {"quick": quick, "stretch": stretch, "jobs": jobs, "out-dir": out_dir}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(status=st.sampled_from(["pass", "fail"]), data=st.data())
+def test_repro_always_answers_with_one_envelope(status, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv, flags = data.draw(repro_argv(tmp))
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(repro, "CRITERIA", _trivial_criteria(status)):
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse refuses the argument list
+                    code = exc.code
+                    assert code == 2 and out.getvalue() == ""
+                    with pytest.raises(ValueError):
+                        int(flags["jobs"])
+                    return
+    report = json.loads(out.getvalue())  # one JSON document and nothing else
+    assert set(report) == {"command", "inputs", "result", "exit"}
+    assert report["exit"] == code and code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert report["inputs"] == {**flags, "jobs": int(flags["jobs"])}
+    usable = int(flags["jobs"]) >= 1 and not flags["out-dir"].startswith(os.path.join(tmp, "plain-file"))
+    assert code == (2 if not usable else 0 if status == "pass" else 1), report["result"]
 
 
 FAMILIES = st.sampled_from(["star-plus", "path-plus"])
@@ -428,6 +488,60 @@ def test_random_seed_from_environment(capsys, tmp_path, monkeypatch):
     monkeypatch.delenv("GALLAI_FORGE_SEED")
     run_cli(capsys, "random", "-n", "12", "-k", "2", "--seed", "77", "-o", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_random_names_a_malformed_environment_seed(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("GALLAI_FORGE_SEED", "abc")
+    code, report, err = run_cli(capsys, "random", "-n", "12", "-k", "2", "-o", str(tmp_path / "r.gcg"))
+    assert code == 2 and report["exit"] == 2
+    assert report["result"] == {"error": "GALLAI_FORGE_SEED must be an integer, got 'abc'"}
+    # no --seed and an unusable environment value, so the seed echoes as null
+    assert report["inputs"] == {"n": 12, "k": 2, "seed": None, "output": str(tmp_path / "r.gcg")}
+    assert "Traceback" not in err
+    assert not (tmp_path / "r.gcg").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, inputs",
+    [
+        (["construct", "--family", "star-plus", "-t", "4", "-k", "2"],
+         {"family": "star-plus", "t": 4, "k": 2, "output": None}),
+        (["construct", "--family", "path-plus", "-t", "5", "-k", "1", "--output", "c.gcg"],
+         {"family": "path-plus", "t": 5, "k": 1, "output": "c.gcg"}),
+        (["verify", "g.gcg", "--family", "cycle", "-t", "4"],
+         {"input": "g.gcg", "family": "cycle", "t": 4, "rainbow-only": False}),
+        (["verify", "g.gcg", "--rainbow-only"],
+         {"input": "g.gcg", "family": None, "t": None, "rainbow-only": True}),
+        (["decompose", "g.gcg"], {"input": "g.gcg"}),
+        (["ramsey", "--family", "star-plus", "-t", "4"],
+         {"family": "star-plus", "s": 4, "t": 4, "n-max": None, "max-nodes": None, "max-seconds": None,
+          "jobs": 1, "out-dir": "."}),
+        (["ramsey", "--family", "path-plus", "-s", "4", "-t", "5", "--n-max", "3", "--max-nodes", "10",
+          "--max-seconds", "2.5", "--jobs", "1", "--out-dir", "w"],
+         {"family": "path-plus", "s": 4, "t": 5, "n-max": 3, "max-nodes": 10, "max-seconds": 2.5,
+          "jobs": 1, "out-dir": "w"}),
+        (["formula", "gr", "--family", "star-plus", "-t", "4", "-k", "3"],
+         {"formula": "gr", "family": "star-plus", "t": 4, "k": 3}),
+        (["formula", "ramsey", "--family", "path-plus", "-s", "4", "-t", "6"],
+         {"formula": "ramsey", "family": "path-plus", "s": 4, "t": 6}),
+        (["formula", "cycle", "-m", "5", "-n", "7"], {"formula": "cycle", "m": 5, "n": 7}),
+        (["formula", "even-cycle-bounds", "-n", "4", "-k", "3"],
+         {"formula": "even-cycle-bounds", "n": 4, "k": 3}),
+        (["random", "-n", "6", "-k", "2", "--seed", "31", "-o", "r.gcg"],
+         {"n": 6, "k": 2, "seed": 31, "output": "r.gcg"}),
+        (["random", "-n", "6", "-k", "2"], {"n": 6, "k": 2, "seed": 77, "output": None}),
+        (["repro", "--quick", "--jobs", "2", "--out-dir", "m"],
+         {"quick": True, "stretch": False, "jobs": 2, "out-dir": "m"}),
+    ],
+)
+def test_inputs_echo_every_flag(capsys, tmp_path, monkeypatch, argv, inputs):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("GALLAI_FORGE_SEED", "77")
+    monkeypatch.setattr(repro, "CRITERIA", _trivial_criteria("pass"))
+    (tmp_path / "g.gcg").write_text("gcg 1\n3 1\n1\n1 1\n")
+    code, report, _ = run_cli(capsys, *argv)
+    assert code == 0 or argv[0] == "ramsey" and code == 3, report["result"]
+    assert report["inputs"] == inputs
 
 
 def test_stdout_is_sorted_stable_json(capsys, tmp_path):

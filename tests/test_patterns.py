@@ -416,6 +416,24 @@ def test_oracle_guards():
         brute_force_find(new_uniform(3, 1, 2), Pattern.path(1), 99)
 
 
+def test_oracle_tries_only_used_colors(monkeypatch):
+    g = pentagon_k5(1, 2)
+    wide = ColoredCompleteGraph(g.n, MAX_COLOR, g.edge_colors().astype(np.int64) + MAX_COLOR - 2)
+    calls = 0
+    color_of = ColoredCompleteGraph.color_of
+
+    def counting_color_of(self, u, v):
+        nonlocal calls
+        calls += 1
+        return color_of(self, u, v)
+
+    monkeypatch.setattr(ColoredCompleteGraph, "color_of", counting_color_of)
+    assert brute_force_find(wide, Pattern.cycle(4)) is None  # each color class is a 5-cycle
+    assert calls < 1000  # trying every declared color makes millions
+    assert brute_force_find(wide, Pattern.cycle(5)).color == MAX_COLOR - 1
+    assert brute_force_find(wide, Pattern.path(1)).color == 1  # a single vertex is a copy in color 1
+
+
 def test_oracle_handles_oversized_patterns():
     g = new_uniform(3, 1, 1)
     assert brute_force_find(g, Pattern.clique(4)) is None

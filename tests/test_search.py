@@ -195,7 +195,10 @@ def test_budget_validation():
         SearchBudget(max_nodes=0)
     with pytest.raises(ValueError):
         SearchBudget(max_time=-1.0)
+    with pytest.raises(ValueError):  # a NaN deadline would never pass
+        SearchBudget(max_time=float("nan"))
     SearchBudget()  # unlimited is fine
+    SearchBudget(max_time=float("inf"))
 
 
 def test_node_budget_is_exact_and_job_independent():

@@ -1,7 +1,8 @@
 """contains_pattern returns the lexicographically first embedding.
 
 The reference enumerates itertools.permutations against Pattern.edges(), so
-it shares nothing with the detectors or with the brute-force oracle.
+it shares nothing with the detectors or with the brute-force oracle, which
+must agree with the detectors on the least color holding a copy.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import colorings, wide_colorings
-from gallai_forge.patterns import PATTERN_KINDS, Pattern, contains_pattern
+from gallai_forge.patterns import PATTERN_KINDS, Pattern, brute_force_find, contains_pattern
 
 
 def _least_embedding(graph, p, color):
@@ -47,3 +48,8 @@ def test_witness_is_least_embedding(graph):
             first = next(((c, vs) for c, vs in least.items() if vs is not None), None)
             w = contains_pattern(graph, p)
             assert (None if w is None else (w.color, w.vertices)) == first, (kind, size)
+            oracle = brute_force_find(graph, p)
+            # the oracle agrees on whether a copy exists and on its least color
+            assert (None if oracle is None else oracle.color) == (
+                None if w is None else w.color
+            ), (kind, size)
