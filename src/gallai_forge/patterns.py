@@ -290,12 +290,12 @@ def _walk(steps, d: int, assign, used: int, adj: list[int]) -> bool:
     to vertices and is left holding the first completion found.  The walk
     keeps its own stack, so a pattern of any size fits."""
     stack = []  # (candidates left, vertices used) for each depth being tried above d
-    while d < len(steps):
+    end = len(steps)
+    while d < end:
         _, prevs, twin = steps[d]
-        cand = adj[assign[prevs[0]]]
-        for q in prevs[1:]:
+        cand = ~used
+        for q in prevs:
             cand &= adj[assign[q]]
-        cand &= ~used
         if twin >= 0:
             cand &= -(2 << assign[twin])
         while not cand:

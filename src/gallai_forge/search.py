@@ -2,16 +2,22 @@
 
 Edges of K_n are assigned in a fixed order (all edges into vertex v before
 vertex v+1, lower endpoint ascending), depth-first, color 1 before color 2.
-A branch is cut as soon as the partial coloring contains the first target in
-color 1 or the second in color 2; only copies through the newest edge can be
-new, so each node tests only those instead of scanning the whole coloring.
-Triangles and star-plus get bitmask tests.  Every other target anchors the
-new edge on one ordered pattern edge (arc) per orbit of the target's
-automorphism group and walks the remaining roles from there: one arc for
-cycles and cliques, two for stars, 2t - 3 for path-plus on t vertices.  An
-arc is walked only when both endpoints of the new edge have at least the
-pattern degree of the roles placed on them.
+A branch is cut as soon as the partial coloring would contain the first
+target in color 1 or the second in color 2.  Each color is tested on the next
+edge before the edge is placed: only copies through that edge can be new, so
+each node tests only those instead of scanning the whole coloring, and a
+pruned color never touches the coloring.  Triangles and star-plus get bitmask
+tests.  Every other target anchors the new edge on one ordered pattern edge
+(arc) per orbit of the target's automorphism group and walks the remaining
+roles from there: one arc for cycles and cliques, two for stars, 2t - 3 for
+path-plus on t vertices.  An arc is walked only when both endpoints of the
+new edge, counting it, have at least the pattern degree of the roles placed
+on them.
 When both targets coincide the first edge is fixed to color 1 (color swap).
+
+A time budget's clock is read about every 10 ms of search: the stride between
+reads adapts to the observed node rate, from 1 to 8192 nodes, since a node
+on a dense prefix can cost milliseconds.  The node cap is exact.
 
 Parallel runs split the tree at a fixed depth into prefix subtrees and
 process them in prefix order, wave by wave.  Results are folded in prefix
@@ -22,6 +28,7 @@ witness, and node/prune counters match the single-job run exactly.
 from __future__ import annotations
 
 import functools
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -104,8 +111,10 @@ def _arc_orbits(p: Pattern) -> tuple[tuple[int, int], ...]:
 
 
 def _make_checker(p: Pattern, adj: list, deg: list):
-    """Build hit(u, v): does a copy of ``p`` through the just-assigned edge
-    {u, v} exist in the color whose adjacency ``adj``/``deg`` describe?"""
+    """Build hit(u, v): would giving {u, v} the color whose adjacency
+    ``adj``/``deg`` describe create a copy of ``p`` through it?  The rows do
+    not hold {u, v} yet, so the search tests each edge before placing it.
+    The answer does not assume that the rows are free of ``p``."""
     kind, size = p.kind, p.size
     if size == 3 and kind in ("clique", "star-plus", "path-plus"):
         # all three degenerate to the triangle
@@ -117,28 +126,32 @@ def _make_checker(p: Pattern, adj: list, deg: list):
 
     if kind == "star-plus" or (kind == "path-plus" and size == 4):
         # path-plus on 4 vertices is the same graph as star-plus on 4.
-        # The new edge is either center-to-leaf (center u or v: enough degree
-        # plus any edge inside the neighborhood) or leaf-to-leaf (any common
-        # neighbor with enough degree is a center).
+        # The new edge is either leaf-to-leaf (any common neighbor with
+        # enough degree is a center) or center-to-leaf: the center u (or v)
+        # reaches enough degree with the new edge, and N(u) + v holds an
+        # edge, which is a common neighbor or an edge inside N(u).
         need = size - 1
+        need_before = need - 1  # degree a center needs before the new edge
 
         def hit_star_plus(u: int, v: int) -> bool:
             au = adj[u]
             av = adj[v]
             common = au & av
+            if common and (deg[u] >= need_before or deg[v] >= need_before):
+                return True
             while common:
                 low = common & -common
                 if deg[low.bit_length() - 1] >= need:
                     return True
                 common ^= low
-            if deg[u] >= need:
+            if deg[u] >= need_before:
                 rest = au
                 while rest:
                     low = rest & -rest
                     if adj[low.bit_length() - 1] & au:
                         return True
                     rest ^= low
-            if deg[v] >= need:
+            if deg[v] >= need_before:
                 rest = av
                 while rest:
                     low = rest & -rest
@@ -150,102 +163,137 @@ def _make_checker(p: Pattern, adj: list, deg: list):
         return hit_star_plus
 
     # anchor {u, v} on one arc per orbit: a copy that puts any arc of an
-    # orbit on (u, v) can be moved by an automorphism onto its representative
+    # orbit on (u, v) can be moved by an automorphism onto its representative.
+    # The walk never reads {u, v} itself: u and v start out used.
     pdeg = [sum(r in e for e in p.edges()) for r in range(size)]
-    anchors = [(a, b, pdeg[a], pdeg[b], _plan(p, (a, b))) for a, b in _arc_orbits(p)]
+    anchors = [(a, b, pdeg[a] - 1, pdeg[b] - 1, _plan(p, (a, b))) for a, b in _arc_orbits(p)]
+    assign = [0] * size
 
     def hit_generic(u: int, v: int) -> bool:
         pair = (1 << u) | (1 << v)
         du = deg[u]
         dv = deg[v]
         for a, b, need_a, need_b, steps in anchors:
-            # roles a and b cannot land on u and v without their pattern degree
-            if du >= need_a and dv >= need_b and _walk(steps, 0, {a: u, b: v}, pair, adj):
-                return True
+            # roles a and b cannot land on u and v without their pattern
+            # degree, the new edge included
+            if du >= need_a and dv >= need_b:
+                assign[a] = u
+                assign[b] = v
+                if _walk(steps, 0, assign, pair, adj):
+                    return True
         return False
 
     return hit_generic
 
 
+# a time budget's clock is read about once per CLOCK_TICK seconds of search
+# and at least every MAX_STRIDE nodes: a fixed stride would overshoot the
+# deadline by seconds where nodes cost milliseconds
+CLOCK_TICK = 0.01
+MAX_STRIDE = 8192
+
+
 def _explore(n, p_red, p_blue, prefix, depth_stop, first_only, cap, deadline):
     """Iterative DFS from a fixed valid prefix up to ``depth_stop`` edges.
+    Each color is tested on an edge before it is placed, so a pruned node
+    leaves the coloring untouched.
 
     Returns (results, nodes, prunes, truncated) where results holds complete
     assignments of the explored range (all of them, or just the first when
     ``first_only``) and truncated is None, "nodes", or "time".
     """
-    total = n * (n - 1) // 2
-    eu = []
-    ev = []
-    for v in range(1, n):
-        for u in range(v):
-            eu.append(u)
-            ev.append(v)
+    edges = [(u, v, 1 << u, 1 << v) for v in range(1, n) for u in range(v)]
     # per-color state, indexed by color 1 or 2
     adj = (None, [0] * n, [0] * n)
     deg = (None, [0] * n, [0] * n)
     hit = (None, _make_checker(p_red, adj[1], deg[1]), _make_checker(p_blue, adj[2], deg[2]))
-    col = [0] * total
+    col = [0] * len(edges)
     for e, c in enumerate(prefix):
-        u, v = eu[e], ev[e]
+        u, v, bu, bv = edges[e]
         col[e] = c
-        adj[c][u] |= 1 << v
-        adj[c][v] |= 1 << u
+        adj[c][u] |= bv
+        adj[c][v] |= bu
         deg[c][u] += 1
         deg[c][v] += 1
     base = len(prefix)
-    symmetric = p_red == p_blue
+    # the last color tried per level: when both targets coincide the first
+    # edge is fixed to color 1 (color swap)
+    top = [2] * (depth_stop + 1)
+    if p_red == p_blue:
+        top[0] = 1
     nxt = [1] * (depth_stop + 1)
     results = []
     nodes = 0
     prunes = 0
     truncated = None
-    level = base
-    check_time = deadline is not None
     clock = time.monotonic
+    stride = 1
+    seen = (0, clock())  # (nodes, time) at the last clock read
+
+    def checkpoint(nodes):
+        # run at node ``check_at``: tests the cap, then the clock, and returns
+        # (why the search stops or None, the node to run at next)
+        nonlocal stride, seen
+        if nodes > cap:
+            return "nodes", 0
+        step = sys.maxsize
+        if deadline is not None:
+            now = clock()
+            if now > deadline:
+                return "time", 0
+            done, elapsed = nodes - seen[0], now - seen[1]
+            # aim at one read per CLOCK_TICK, growing the stride at most
+            # twofold per read in case nodes grow dearer
+            rate_stride = int(done * CLOCK_TICK / elapsed) if elapsed > 0 else MAX_STRIDE
+            stride = step = max(1, min(MAX_STRIDE, 2 * stride, rate_stride))
+            seen = (nodes, now)
+        return None, min(nodes + step, cap + 1)
+
+    check_at = 1
+    level = base
     while True:
-        if level == depth_stop:
-            results.append(tuple(col[:depth_stop]))
-            if first_only:
-                break
-        else:
+        if level < depth_stop:
+            u, v, bu, bv = edges[level]
             c = nxt[level]
-            if c <= (2 if level or not symmetric else 1):
-                nxt[level] = c + 1
+            last = top[level]
+            while c <= last:
                 nodes += 1
-                if nodes > cap:
-                    truncated = "nodes"
+                if nodes >= check_at:
+                    truncated, check_at = checkpoint(nodes)
+                    if truncated is not None:
+                        break
+                if not hit[c](u, v):
                     break
-                if check_time and (nodes & 8191) == 0 and clock() > deadline:
-                    truncated = "time"
-                    break
-                u = eu[level]
-                v = ev[level]
+                prunes += 1
+                c += 1
+            if truncated is not None:
+                break
+            if c <= last:
+                nxt[level] = c + 1
                 col[level] = c
                 a = adj[c]
                 d = deg[c]
-                a[u] |= 1 << v
-                a[v] |= 1 << u
+                a[u] |= bv
+                a[v] |= bu
                 d[u] += 1
                 d[v] += 1
                 level += 1
-                if not hit[c](u, v):
-                    continue
-                prunes += 1
-                # the backtrack below takes the pruned edge off again
-            else:
-                nxt[level] = 1
+                continue
+            nxt[level] = 1
+        else:
+            results.append(tuple(col[:depth_stop]))
+            if first_only:
+                break
         # backtrack: take the edge at level - 1 off
         level -= 1
         if level < base:
             break
-        u = eu[level]
-        v = ev[level]
+        u, v, bu, bv = edges[level]
         c = col[level]
         a = adj[c]
         d = deg[c]
-        a[u] ^= 1 << v
-        a[v] ^= 1 << u
+        a[u] ^= bv
+        a[v] ^= bu
         d[u] -= 1
         d[v] -= 1
     return results, nodes, prunes, truncated

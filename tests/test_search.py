@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -77,18 +78,22 @@ def test_every_prune_is_justified(monkeypatch):
         states.append((adj, deg))  # the search builds color 1's checker, then color 2's
 
         def hit_and_check(u, v):
-            # the colors hold the search's edges up to {u, v}, each once, with
-            # symmetric rows and their degrees; a stale backtrack breaks this
+            # the colors hold exactly the search's edges before {u, v}, each
+            # once, with symmetric rows and their degrees; a pruned edge left
+            # in place or a stale backtrack breaks this
             n = len(adj)
             order = [(a, b) for b in range(1, n) for a in range(b)]
             (red, red_rows), (blue, blue_rows) = (_edges_and_rows(rows) for rows, _ in states[-2:])
-            assert red | blue == set(order[: order.index((u, v)) + 1]) and not red & blue
+            assert red | blue == set(order[: order.index((u, v))]) and not red & blue
             assert [red_rows, blue_rows] == [rows for rows, _ in states[-2:]]
             assert all(d == [row.bit_count() for row in rows] for rows, d in states[-2:])
             if not hit(u, v):
                 return False
-            # the edges in this checker's color become color 1, all others color 2
-            g = ColoredCompleteGraph(n, 2, [1 if adj[a] >> b & 1 else 2 for a in range(1, n) for b in range(a)])
+            # {u, v} and the edges in this checker's color become color 1,
+            # all others color 2
+            g = ColoredCompleteGraph(
+                n, 2, [1 if adj[a] >> b & 1 or (b, a) == (u, v) else 2 for a in range(1, n) for b in range(a)]
+            )
             hits.append(brute_force_find(g, p, 1) is not None)
             return True
 
@@ -121,8 +126,9 @@ def _copy_through_edge(p, color_of, n, u, v, c):
     data=st.data(),
 )
 def test_checker_matches_permutation_oracle(p, n, data):
-    # a partial 2-coloring (0 = not yet assigned) whose last edge {u, v} has
-    # color c; c is drawn more often than the rest so that copies occur
+    # a partial 2-coloring (0 = not yet assigned) about to give {u, v} color
+    # c: the checker's rows omit {u, v}, the oracle's coloring has it in c;
+    # c is drawn more often than the rest so that copies occur
     c = data.draw(st.sampled_from((1, 2)))
     pairs = list(itertools.combinations(range(n), 2))
     palette = st.sampled_from((c, c, c, 3 - c, 0))
@@ -133,7 +139,7 @@ def test_checker_matches_permutation_oracle(p, n, data):
     adj = [0] * n
     deg = [0] * n
     for e, col in color_of.items():
-        if col == c:
+        if col == c and e != {u, v}:
             a, b = e
             adj[a] |= 1 << b
             adj[b] |= 1 << a
@@ -143,6 +149,14 @@ def test_checker_matches_permutation_oracle(p, n, data):
     expected = _copy_through_edge(p, color_of, n, u, v, c)
     assert hit(u, v) == expected
     assert hit(v, u) == expected
+
+
+def _assert_pinned(pa, pb, value, witness_counts, exhausted_counts, witness_sha256):
+    cert = ramsey_number(pa, pb, n_max=value)
+    assert cert.value == value
+    assert (cert.witness_outcome.nodes, cert.witness_outcome.prunes) == witness_counts
+    assert (cert.exhausted_outcome.nodes, cert.exhausted_outcome.prunes) == exhausted_counts
+    assert hashlib.sha256(encode(cert.witness).encode("ascii")).hexdigest() == witness_sha256
 
 
 # (nodes, prunes) at the witness and exhausted orders, and the sha256 of the
@@ -160,11 +174,26 @@ def test_checker_matches_permutation_oracle(p, n, data):
     ids=["C5-C5", "P5-P5", "P4-P5"],
 )
 def test_generic_checker_counters_are_pinned(pa, pb, value, witness_counts, exhausted_counts, witness_sha256):
-    cert = ramsey_number(pa, pb, n_max=value)
-    assert cert.value == value
-    assert (cert.witness_outcome.nodes, cert.witness_outcome.prunes) == witness_counts
-    assert (cert.exhausted_outcome.nodes, cert.exhausted_outcome.prunes) == exhausted_counts
-    assert hashlib.sha256(encode(cert.witness).encode("ascii")).hexdigest() == witness_sha256
+    _assert_pinned(pa, pb, value, witness_counts, exhausted_counts, witness_sha256)
+
+
+# the same, for pairs the triangle and star-plus checkers serve
+@pytest.mark.parametrize(
+    "pa, pb, value, witness_counts, exhausted_counts, witness_sha256",
+    [
+        (TRI, TRI, 6, (77, 30), (325, 163),
+         "a7cee0e59b8778d2b0af78cdedc017920ce2fc0179978f5513474828b21cab09"),
+        (SP4, SP4, 7, (66, 19), (539, 270),
+         "52b191a7c883e1202e5c2b1fec05e0ee9a1745042ac8cb1327c7b2bd80b5f3de"),
+        (Pattern.star_plus(5), Pattern.star_plus(5), 9, (101, 16), (19837, 9919),
+         "c22839c614192022780b0b6e4e7ab8efc65d8501ca010715ebf79180d0a3c179"),
+        (SP4, Pattern.star_plus(6), 11, (262, 77), (636336, 318169),
+         "2f18e90387cc0b198a629e27c00239761c60ed85329a5c504359f6f96c5c0b66"),
+    ],
+    ids=["K3-K3", "S4-S4", "S5-S5", "S4-S6"],
+)
+def test_bitmask_checker_counters_are_pinned(pa, pb, value, witness_counts, exhausted_counts, witness_sha256):
+    _assert_pinned(pa, pb, value, witness_counts, exhausted_counts, witness_sha256)
 
 
 def test_single_vertex_search():
@@ -221,6 +250,17 @@ def test_time_budget_reports():
         ramsey_number(sp6, sp6, n_max=12, budget=SearchBudget(max_time=0.25))
     assert exc.value.reason == "time"
     assert exc.value.nodes > 0
+
+
+@pytest.mark.parametrize("target", [Pattern.path_plus(9), Pattern.cycle(9)], ids=["P9-P9", "C9-C9"])
+def test_time_budget_stops_soon_where_nodes_are_costly(target):
+    # nodes on these dense prefixes cost milliseconds each, so the clock is
+    # read within a few nodes, not thousands, of the deadline
+    start = time.monotonic()
+    with pytest.raises(BudgetExhausted) as exc:
+        search_two_color(17, target, target, budget=SearchBudget(max_time=0.5))
+    assert exc.value.reason == "time"
+    assert time.monotonic() - start < 3.0
 
 
 def test_split_depth_does_not_change_answers(monkeypatch):
