@@ -249,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("repro", help="run the acceptance matrix and print a pass/fail table")
     p.add_argument("--quick", action="store_true", help="reduced sample counts")
-    p.add_argument("--stretch", action="store_true", help="include the long t=5 certification")
+    p.add_argument("--stretch", action="store_true", help="include the size-5 to size-7 certifications")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(handler=_cmd_repro)

@@ -24,7 +24,7 @@ from typing import Callable
 from .cli import _write_text, main as cli_main
 from .constructions import lower_bound_construction, random_gallai
 from .decompose import gallai_partition, validate_partition
-from .formulas import cycle_ramsey, even_cycle_gr_bounds, gr_value
+from .formulas import cycle_ramsey, even_cycle_gr_bounds, gr_value, linear_claim
 from .graphs import ColoredCompleteGraph, encode
 from .patterns import (
     PATTERN_KINDS,
@@ -35,7 +35,7 @@ from .patterns import (
     find_rainbow_triangle,
     verify_witness,
 )
-from .search import SearchBudget, certify_claim, ramsey_number, search_two_color
+from .search import certify_claim, ramsey_number, search_two_color
 
 
 @dataclass
@@ -95,24 +95,25 @@ def _c2_triangle(ctx: ReproContext):
     )
 
 
-def _c3_stretch_t5(ctx: ReproContext):
+def _c3_stretch(ctx: ReproContext):
     if not ctx.stretch:
-        return "skip", "run with --stretch to certify the size-5 values (budget 1e9 nodes / 2h)"
-    budget = SearchBudget(max_nodes=10**9, max_time=7200.0)
+        return "skip", "run with --stretch to certify the size-5 and size-6 values and (path-plus 7, path-plus 7)"
     cases = [
         (Pattern.star_plus(5), Pattern.star_plus(5)),
         (Pattern.path_plus(5), Pattern.path_plus(5)),
         (Pattern.path_plus(4), Pattern.path_plus(5)),
+        (Pattern.star_plus(6), Pattern.star_plus(6)),
+        (Pattern.path_plus(6), Pattern.path_plus(6)),
+        (Pattern.path_plus(7), Pattern.path_plus(7)),
     ]
     notes = []
     for first, second in cases:
-        cert = ramsey_number(first, second, n_max=10, budget=budget, jobs=ctx.jobs)
-        if cert.value != 9:
-            return "fail", f"({first.kind} {first.size}, {second.kind} {second.size}): value {cert.value}, wanted 9"
-        notes.append(
-            f"({first.kind} {first.size}, {second.kind} {second.size}) = 9 "
-            f"[{cert.exhausted_outcome.nodes} nodes]"
-        )
+        expected, cap = linear_claim(first.size, second.size)
+        cert = ramsey_number(first, second, n_max=cap, jobs=ctx.jobs)
+        pair = f"({first.kind} {first.size}, {second.kind} {second.size})"
+        if cert.value != expected:
+            return "fail", f"{pair}: value {cert.value}, wanted {expected}"
+        notes.append(f"{pair} = {expected} [{cert.exhausted_outcome.nodes} nodes]")
     return "pass", "; ".join(notes)
 
 
@@ -342,7 +343,7 @@ class Criterion:
 CRITERIA = [
     Criterion(1, "exact certification at size 4", _c1_exact_t4, 60.0),
     Criterion(2, "triangle value and size-3 divergence", _c2_triangle, 1.0),
-    Criterion(3, "stretch certification at size 5", _c3_stretch_t5, None),
+    Criterion(3, "stretch certification at sizes 5 to 7", _c3_stretch, 60.0),
     Criterion(4, "lower-bound constructions verify clean", _c4_constructions, 300.0),
     Criterion(5, "closed-form suite", _c5_formulas, None),
     Criterion(6, "detector/oracle equivalence", _c6_equivalence, 120.0),

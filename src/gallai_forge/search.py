@@ -15,6 +15,18 @@ new edge, counting it, have at least the pattern degree of the roles placed
 on them.
 When both targets coincide the first edge is fixed to color 1 (color swap).
 
+Relabeling the vertices of a valid coloring gives a valid coloring, so the
+search breaks that symmetry too, with lex-leader predicates for the swaps of
+adjacent vertices (Crawford, Ginsberg, Luks and Roy, KR 1996): column v - 1
+of the coloring stays lexicographically at most column v over rows
+0..v - 2.  Swapping v - 1 and v changes the coloring first at (u, v - 1),
+for the least row u where the two columns differ, so a coloring that breaks
+the rule is not the least of its class; the least one keeps every such rule
+and the color-swap rule, so each class is still met and verdicts stand.
+The plain DFS returns the least valid coloring, which is least in its class
+and never cut, so the witness is the same byte for byte.  ``reference=True``
+runs the plain DFS, the oracle for this rule.
+
 A time budget's clock is read about every 10 ms of search: the stride between
 reads adapts to the observed node rate, from 1 to 8192 nodes, since a node
 on a dense prefix can cost milliseconds.  The node cap is exact.
@@ -30,7 +42,6 @@ from __future__ import annotations
 import functools
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -193,10 +204,20 @@ CLOCK_TICK = 0.01
 MAX_STRIDE = 8192
 
 
-def _explore(n, p_red, p_blue, prefix, depth_stop, first_only, cap, deadline):
+def _explore(n, p_red, p_blue, prefix, depth_stop, first_only, cap, deadline, reference=False):
     """Iterative DFS from a fixed valid prefix up to ``depth_stop`` edges.
     Each color is tested on an edge before it is placed, so a pruned node
     leaves the coloring untouched.
+
+    Unless ``reference``, the adjacent-column rule holds: while columns
+    v - 1 and v agree on rows 0..u - 1 ("tied"), edge (u, v) starts at the
+    color of its twin (u, v - 1) instead of color 1.  The colors below are
+    skipped, not tried, so they count as neither nodes nor prunes.  Such a
+    color makes the swap of v - 1 and v lower the coloring at (u, v - 1), its
+    first changed edge, so no completion is least in its class; the least
+    valid coloring, the plain DFS's witness, is least in its class and is
+    still found first.  ``tied`` is rebuilt while the prefix is replayed, so
+    counters do not depend on where the tree is split.
 
     Returns (results, nodes, prunes, truncated) where results holds complete
     assignments of the explored range (all of them, or just the first when
@@ -208,7 +229,25 @@ def _explore(n, p_red, p_blue, prefix, depth_stop, first_only, cap, deadline):
     deg = (None, [0] * n, [0] * n)
     hit = (None, _make_checker(p_red, adj[1], deg[1]), _make_checker(p_blue, adj[2], deg[2]))
     col = [0] * len(edges)
+    # twin[e]: the index of (u, v - 1) for e = (u, v) with u <= v - 2, else -1;
+    # one spare entry for level depth_stop
+    twin = [-1] * (len(edges) + 1)
+    if not reference:
+        for v in range(2, n):
+            for u in range(v - 1):
+                twin[v * (v - 1) // 2 + u] = (v - 1) * (v - 2) // 2 + u
+    tied = [False] * len(edges)
+
+    def floor(e):
+        # the first color level e may take, once edges 0..e - 1 are placed
+        t = twin[e]
+        if t < 0:
+            return 1
+        tie = tied[e] = edges[e][0] == 0 or (tied[e - 1] and col[e - 1] == col[t - 1])
+        return col[t] if tie else 1
+
     for e, c in enumerate(prefix):
+        floor(e)
         u, v, bu, bv = edges[e]
         col[e] = c
         adj[c][u] |= bv
@@ -222,6 +261,7 @@ def _explore(n, p_red, p_blue, prefix, depth_stop, first_only, cap, deadline):
     if p_red == p_blue:
         top[0] = 1
     nxt = [1] * (depth_stop + 1)
+    nxt[base] = floor(base)
     results = []
     nodes = 0
     prunes = 0
@@ -278,8 +318,8 @@ def _explore(n, p_red, p_blue, prefix, depth_stop, first_only, cap, deadline):
                 d[u] += 1
                 d[v] += 1
                 level += 1
+                nxt[level] = 1 if twin[level] < 0 else floor(level)
                 continue
-            nxt[level] = 1
         else:
             results.append(tuple(col[:depth_stop]))
             if first_only:
@@ -300,8 +340,10 @@ def _explore(n, p_red, p_blue, prefix, depth_stop, first_only, cap, deadline):
 
 
 def _subtree_task(args):
-    n, p_red, p_blue, prefix, cap, deadline = args
-    results, nodes, prunes, truncated = _explore(n, p_red, p_blue, prefix, n * (n - 1) // 2, True, cap, deadline)
+    n, p_red, p_blue, prefix, cap, deadline, reference = args
+    results, nodes, prunes, truncated = _explore(
+        n, p_red, p_blue, prefix, n * (n - 1) // 2, True, cap, deadline, reference
+    )
     return (results[0] if results else None, nodes, prunes, truncated)
 
 
@@ -316,12 +358,14 @@ def search_two_color(
     p_blue: Pattern,
     budget: SearchBudget | None = None,
     jobs: int = 1,
+    reference: bool = False,
 ) -> SearchOutcome:
     """Decide whether some 2-coloring of K_n avoids ``p_red`` in color 1 and
     ``p_blue`` in color 2.  Returns a witness coloring (re-validated by the
     full detectors) or an exhausted verdict; raises BudgetExhausted when the
     budget runs out first.  Verdict, witness, and counters do not depend on
-    ``jobs``."""
+    ``jobs``.  ``reference`` runs the plain DFS, without the adjacent-column
+    rule: same verdict and witness, larger counters."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if jobs < 1:
@@ -338,18 +382,23 @@ def search_two_color(
         return SearchOutcome("witness", witness, 0, 0)
 
     depth = min(SPLIT_DEPTH, total - 1) if total > 1 else 0
-    prefixes, acc_nodes, acc_prunes, truncated = _explore(n, p_red, p_blue, (), depth, False, cap, deadline)
+    prefixes, acc_nodes, acc_prunes, truncated = _explore(
+        n, p_red, p_blue, (), depth, False, cap, deadline, reference
+    )
     if truncated is not None:
         raise BudgetExhausted(truncated, cap if truncated == "nodes" else acc_nodes)
 
     witness_colors = None
     pooled = jobs > 1 and len(prefixes) > 1
+    if pooled:
+        # imported here: only pooled runs pay for multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) if pooled else nullcontext() as pool:
         for wave_start in range(0, len(prefixes), jobs):
             wave = prefixes[wave_start : wave_start + jobs]
             # every task in a wave gets the full remaining cap; the in-order
             # fold below restores exact sequential accounting
-            tasks = [(n, p_red, p_blue, prefix, cap - acc_nodes, deadline) for prefix in wave]
+            tasks = [(n, p_red, p_blue, prefix, cap - acc_nodes, deadline, reference) for prefix in wave]
             for found, nodes, prunes, truncated in (pool.map if len(wave) > 1 else map)(_subtree_task, tasks):
                 acc_nodes += nodes
                 acc_prunes += prunes
@@ -378,14 +427,16 @@ def ramsey_number(
     n_max: int,
     budget: SearchBudget | None = None,
     jobs: int = 1,
+    reference: bool = False,
 ) -> RamseyCertificate:
     """Smallest n <= n_max whose search is exhausted, certified by the
-    extremal witness at n - 1.  Each order gets the full budget."""
+    extremal witness at n - 1.  Each order gets the full budget.
+    ``reference`` runs every order with the plain DFS."""
     if n_max < 2:
         raise ValueError(f"need n_max >= 2, got {n_max}")
     previous: SearchOutcome | None = None
     for n in range(2, n_max + 1):
-        outcome = search_two_color(n, p_a, p_b, budget=budget, jobs=jobs)
+        outcome = search_two_color(n, p_a, p_b, budget=budget, jobs=jobs, reference=reference)
         if outcome.verdict == "exhausted":
             # search_two_color already re-validated the witness it returned
             witness = previous.witness if previous is not None else ColoredCompleteGraph(1, 2, [])

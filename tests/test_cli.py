@@ -195,7 +195,7 @@ def test_ramsey_match(capsys, tmp_path):
     result = report["result"]
     assert result["value"] == 7 and result["match"] is True
     assert result["divergence"] is None
-    assert result["exhaustion"]["nodes"] == 539
+    assert result["exhaustion"]["nodes"] == 126
     witness = decode(open(result["witness_path"]).read())
     assert witness.n == 6
     assert "searched orders" in err
@@ -224,7 +224,7 @@ def test_ramsey_triangle_divergence(capsys, tmp_path):
 def test_ramsey_budget_exhaustion(capsys, tmp_path):
     code, report, _ = run_cli(
         capsys,
-        "ramsey", "--family", "star-plus", "-t", "6",
+        "ramsey", "--family", "star-plus", "-t", "7",
         "--max-seconds", "0.2", "--out-dir", str(tmp_path),
     )
     assert code == 3
@@ -284,7 +284,7 @@ def test_ramsey_checks_out_dir_before_searching(capsys, tmp_path):
 RAMSEY_KEYS = {"value", "expected", "match", "witness_path", "witness_order", "exhaustion", "divergence"}
 
 
-# no size pair certifies within 500 nodes (size 4 needs 539), so pin one exit-0 case
+# pin one exit-0 case: size 4 certifies with 126 nodes at order 7
 @example(family="star-plus", s=None, t=4, n_max=None, max_nodes=1000)
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(

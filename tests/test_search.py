@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from gallai_forge import search
 from gallai_forge.graphs import ColoredCompleteGraph, encode
-from gallai_forge.patterns import PATTERN_KINDS, Pattern, brute_force_find, contains_pattern
+from gallai_forge.patterns import _MIN_SIZE, PATTERN_KINDS, Pattern, brute_force_find, contains_pattern
 from gallai_forge.search import (
     BudgetExhausted,
     NotFoundBelowCap,
@@ -151,49 +151,120 @@ def test_checker_matches_permutation_oracle(p, n, data):
     assert hit(v, u) == expected
 
 
-def _assert_pinned(pa, pb, value, witness_counts, exhausted_counts, witness_sha256):
-    cert = ramsey_number(pa, pb, n_max=value)
+# the sha256 of each pinned pair's witness GCG bytes: the default search and
+# the plain DFS (reference=True) find the same witness
+WITNESS_SHA256 = {
+    "C5-C5": "e880e915434c343207180fd1512aae75163ff8441abe8769c112874d6781b57c",
+    "P5-P5": "c22839c614192022780b0b6e4e7ab8efc65d8501ca010715ebf79180d0a3c179",
+    "P4-P5": "f96c3a1d544f7589c1ce64b305e030982874126f89bef6c672b08aad488ab909",
+    "K3-K3": "a7cee0e59b8778d2b0af78cdedc017920ce2fc0179978f5513474828b21cab09",
+    "S4-S4": "52b191a7c883e1202e5c2b1fec05e0ee9a1745042ac8cb1327c7b2bd80b5f3de",
+    "S5-S5": "c22839c614192022780b0b6e4e7ab8efc65d8501ca010715ebf79180d0a3c179",
+    "S4-S6": "2f18e90387cc0b198a629e27c00239761c60ed85329a5c504359f6f96c5c0b66",
+}
+
+PINNED_PAIRS = {
+    "C5-C5": (Pattern.cycle(5), Pattern.cycle(5), 9),
+    "P5-P5": (Pattern.path_plus(5), Pattern.path_plus(5), 9),
+    "P4-P5": (PP4, Pattern.path_plus(5), 9),
+    "K3-K3": (TRI, TRI, 6),
+    "S4-S4": (SP4, SP4, 7),
+    "S5-S5": (Pattern.star_plus(5), Pattern.star_plus(5), 9),
+    "S4-S6": (SP4, Pattern.star_plus(6), 11),
+}
+
+
+def _assert_pinned(name, witness_counts, exhausted_counts, reference):
+    pa, pb, value = PINNED_PAIRS[name]
+    cert = ramsey_number(pa, pb, n_max=value, reference=reference)
     assert cert.value == value
     assert (cert.witness_outcome.nodes, cert.witness_outcome.prunes) == witness_counts
     assert (cert.exhausted_outcome.nodes, cert.exhausted_outcome.prunes) == exhausted_counts
-    assert hashlib.sha256(encode(cert.witness).encode("ascii")).hexdigest() == witness_sha256
+    assert hashlib.sha256(encode(cert.witness).encode("ascii")).hexdigest() == WITNESS_SHA256[name]
 
 
-# (nodes, prunes) at the witness and exhausted orders, and the sha256 of the
-# witness's GCG bytes, for pairs the generic checker serves
-@pytest.mark.parametrize(
-    "pa, pb, value, witness_counts, exhausted_counts, witness_sha256",
-    [
-        (Pattern.cycle(5), Pattern.cycle(5), 9, (342, 136), (57181, 28591),
-         "e880e915434c343207180fd1512aae75163ff8441abe8769c112874d6781b57c"),
-        (Pattern.path_plus(5), Pattern.path_plus(5), 9, (101, 16), (3463, 1732),
-         "c22839c614192022780b0b6e4e7ab8efc65d8501ca010715ebf79180d0a3c179"),
-        (PP4, Pattern.path_plus(5), 9, (179, 40), (2768, 1385),
-         "f96c3a1d544f7589c1ce64b305e030982874126f89bef6c672b08aad488ab909"),
-    ],
-    ids=["C5-C5", "P5-P5", "P4-P5"],
-)
-def test_generic_checker_counters_are_pinned(pa, pb, value, witness_counts, exhausted_counts, witness_sha256):
-    _assert_pinned(pa, pb, value, witness_counts, exhausted_counts, witness_sha256)
+def _pins(rows):
+    return pytest.mark.parametrize("name, witness_counts, exhausted_counts", rows, ids=[row[0] for row in rows])
+
+
+# the plain DFS's (nodes, prunes) at the witness and exhausted orders, for
+# pairs the generic checker serves
+@_pins([
+    ("C5-C5", (342, 136), (57181, 28591)),
+    ("P5-P5", (101, 16), (3463, 1732)),
+    ("P4-P5", (179, 40), (2768, 1385)),
+])
+def test_generic_checker_counters_are_pinned(name, witness_counts, exhausted_counts):
+    _assert_pinned(name, witness_counts, exhausted_counts, reference=True)
 
 
 # the same, for pairs the triangle and star-plus checkers serve
-@pytest.mark.parametrize(
-    "pa, pb, value, witness_counts, exhausted_counts, witness_sha256",
-    [
-        (TRI, TRI, 6, (77, 30), (325, 163),
-         "a7cee0e59b8778d2b0af78cdedc017920ce2fc0179978f5513474828b21cab09"),
-        (SP4, SP4, 7, (66, 19), (539, 270),
-         "52b191a7c883e1202e5c2b1fec05e0ee9a1745042ac8cb1327c7b2bd80b5f3de"),
-        (Pattern.star_plus(5), Pattern.star_plus(5), 9, (101, 16), (19837, 9919),
-         "c22839c614192022780b0b6e4e7ab8efc65d8501ca010715ebf79180d0a3c179"),
-        (SP4, Pattern.star_plus(6), 11, (262, 77), (636336, 318169),
-         "2f18e90387cc0b198a629e27c00239761c60ed85329a5c504359f6f96c5c0b66"),
-    ],
-    ids=["K3-K3", "S4-S4", "S5-S5", "S4-S6"],
+@_pins([
+    ("K3-K3", (77, 30), (325, 163)),
+    ("S4-S4", (66, 19), (539, 270)),
+    ("S5-S5", (101, 16), (19837, 9919)),
+    ("S4-S6", (262, 77), (636336, 318169)),
+])
+def test_bitmask_checker_counters_are_pinned(name, witness_counts, exhausted_counts):
+    _assert_pinned(name, witness_counts, exhausted_counts, reference=True)
+
+
+# the default search's counters on the same pairs: the adjacent-column rule
+# shrinks every tree and leaves every witness as it was
+@_pins([
+    ("C5-C5", (181, 51), (2522, 923)),
+    ("P5-P5", (69, 4), (547, 205)),
+    ("P4-P5", (95, 14), (242, 89)),
+    ("K3-K3", (50, 17), (78, 32)),
+    ("S4-S4", (44, 8), (126, 48)),
+    ("S5-S5", (69, 4), (1072, 396)),
+    ("S4-S6", (136, 21), (3728, 1410)),
+])
+def test_symmetry_pruned_counters_are_pinned(name, witness_counts, exhausted_counts):
+    _assert_pinned(name, witness_counts, exhausted_counts, reference=False)
+
+
+# every kind on 2 to 5 vertices, where the kind allows it
+TARGETS = st.sampled_from(PATTERN_KINDS).flatmap(
+    lambda kind: st.builds(Pattern, st.just(kind), st.integers(max(2, _MIN_SIZE[kind]), 5))
 )
-def test_bitmask_checker_counters_are_pinned(pa, pb, value, witness_counts, exhausted_counts, witness_sha256):
-    _assert_pinned(pa, pb, value, witness_counts, exhausted_counts, witness_sha256)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(pa=TARGETS, pb=TARGETS, n=st.integers(2, 8))
+def test_symmetry_pruning_keeps_the_plain_dfs_answers(pa, pb, n):
+    try:
+        ref = search_two_color(n, pa, pb, budget=SearchBudget(max_nodes=20_000), reference=True)
+    except BudgetExhausted:
+        return
+    out = search_two_color(n, pa, pb)
+    assert out.verdict == ref.verdict
+    if ref.witness is not None:
+        assert encode(out.witness) == encode(ref.witness)
+    # the pruned tree is a subtree of the plain one, walked in the same order
+    # up to the same first leaf
+    assert out.nodes <= ref.nodes and out.prunes <= ref.prunes
+
+
+def _columns_ascend(n, colors):
+    # column v - 1 lexicographically at most column v over rows 0..v - 2
+    col = dict(zip([(u, v) for v in range(1, n) for u in range(v)], colors))
+    return all([col[u, v - 1] for u in range(v - 1)] <= [col[u, v] for u in range(v - 1)] for v in range(2, n))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(pa=TARGETS, pb=TARGETS, n=st.integers(2, 6))
+def test_symmetry_pruning_keeps_exactly_the_ascending_colorings(pa, pb, n):
+    # every valid coloring, in search order: the rule drops those whose
+    # columns do not ascend and no other
+    def every_leaf(reference):
+        return search._explore(n, pa, pb, (), n * (n - 1) // 2, False, float("inf"), None, reference)[0]
+
+    assert every_leaf(False) == [x for x in every_leaf(True) if _columns_ascend(n, x)]
+
+
+def test_path_plus_seven_certifies_thirteen():
+    assert ramsey_number(Pattern.path_plus(7), Pattern.path_plus(7), n_max=14).value == 13
 
 
 def test_single_vertex_search():
@@ -241,13 +312,14 @@ def test_node_budget_is_exact_and_job_independent():
 def test_generous_node_budget_completes():
     out = search_two_color(7, SP4, SP4, budget=SearchBudget(max_nodes=10**6))
     assert out.verdict == "exhausted"
-    assert out.nodes == 539
+    assert out.nodes == 126
 
 
 def test_time_budget_reports():
-    sp6 = Pattern.star_plus(6)
+    # order 13 of (S_7^+, S_7^+) takes seconds
+    sp7 = Pattern.star_plus(7)
     with pytest.raises(BudgetExhausted) as exc:
-        ramsey_number(sp6, sp6, n_max=12, budget=SearchBudget(max_time=0.25))
+        ramsey_number(sp7, sp7, n_max=14, budget=SearchBudget(max_time=0.25))
     assert exc.value.reason == "time"
     assert exc.value.nodes > 0
 
@@ -289,6 +361,13 @@ def test_jobs_do_not_change_outcome():
     wm = search_two_color(6, SP4, SP4, jobs=3)
     assert encode(ws.witness) == encode(wm.witness)
     assert (ws.nodes, ws.prunes) == (wm.nodes, wm.prunes)
+
+
+def test_pooled_runs_keep_the_reference_mode():
+    # the subtrees run in worker processes must drop the rule too
+    for jobs in (1, 2):
+        out = search_two_color(7, SP4, SP4, jobs=jobs, reference=True)
+        assert (out.verdict, out.nodes, out.prunes) == ("exhausted", 539, 270)
 
 
 def test_asymmetric_targets_search_both_color_orders():
