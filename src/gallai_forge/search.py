@@ -10,9 +10,11 @@ pruned color never touches the coloring.  Triangles and star-plus get bitmask
 tests.  Every other target anchors the new edge on one ordered pattern edge
 (arc) per orbit of the target's automorphism group and walks the remaining
 roles from there: one arc for cycles and cliques, two for stars, 2t - 3 for
-path-plus on t vertices.  An arc is walked only when both endpoints of the
-new edge, counting it, have at least the pattern degree of the roles placed
-on them.
+path-plus on t vertices.  Every target is connected, so no arc is walked
+unless the new edge's component in that color, the union of its endpoints'
+components, has at least as many vertices as the target; an arc is walked
+only when both endpoints of the new edge, counting it, have at least the
+pattern degree of the roles placed on them.
 When both targets coincide the first edge is fixed to color 1 (color swap).
 
 Relabeling the vertices of a valid coloring gives a valid coloring, so the
@@ -31,10 +33,14 @@ A time budget's clock is read about every 10 ms of search: the stride between
 reads adapts to the observed node rate, from 1 to 8192 nodes, since a node
 on a dense prefix can cost milliseconds.  The node cap is exact.
 
+One job walks the whole tree in one DFS, which stops at the first witness.
 Parallel runs split the tree at a fixed depth into prefix subtrees and
-process them in prefix order, wave by wave.  Results are folded in prefix
-order and counting stops at the first witness-bearing subtree, so verdict,
-witness, and node/prune counters match the single-job run exactly.
+process them in prefix order, wave by wave.  The prefix phase records the
+counters at which it reaches each prefix, and the subtrees' counters are
+folded in prefix order onto those marks, so verdict, witness, node and prune
+counters, and the node cap's stop match the single-job DFS exactly.
+``ramsey_number`` starts at most one worker pool for all of its orders, at
+the first that splits into two or more subtrees.
 """
 
 from __future__ import annotations
@@ -102,22 +108,23 @@ class RamseyCertificate:
 
 
 @functools.cache
-def _arc_orbits(p: Pattern) -> tuple[tuple[int, int], ...]:
+def _anchors(p: Pattern) -> tuple[tuple[int, int, int, int, tuple], ...]:
     """One ordered pattern edge (arc) per orbit of Aut(p), the first of each
-    orbit in edge order, forward before reverse.  An arc is dropped when the
-    walker, run on p's own adjacency, embeds p in itself with an earlier
-    representative on that arc: an injective self-map that keeps every edge
-    is an automorphism."""
+    orbit in edge order, forward before reverse, as (a, b, the degrees roles
+    a and b need before the new edge, the walk plan from a and b).  An arc
+    is dropped when the walker, run on p's own adjacency, embeds p in itself
+    with an earlier representative on that arc: an injective self-map that
+    keeps every edge is an automorphism."""
     masks = [0] * p.size
     for i, j in p.edges():
         masks[i] |= 1 << j
         masks[j] |= 1 << i
-    reps: list[tuple[int, int]] = []
+    reps: list[tuple[int, int, int, int, tuple]] = []
     for i, j in p.edges():
         for a, b in ((i, j), (j, i)):
             pair = (1 << a) | (1 << b)
-            if not any(_walk(_plan(p, (x, y)), 0, {x: a, y: b}, pair, masks) for x, y in reps):
-                reps.append((a, b))
+            if not any(_walk(steps, 0, {x: a, y: b}, pair, masks) for x, y, _, _, steps in reps):
+                reps.append((a, b, masks[a].bit_count() - 1, masks[b].bit_count() - 1, _plan(p, (a, b))))
     return tuple(reps)
 
 
@@ -176,12 +183,23 @@ def _make_checker(p: Pattern, adj: list, deg: list):
     # anchor {u, v} on one arc per orbit: a copy that puts any arc of an
     # orbit on (u, v) can be moved by an automorphism onto its representative.
     # The walk never reads {u, v} itself: u and v start out used.
-    pdeg = [sum(r in e for e in p.edges()) for r in range(size)]
-    anchors = [(a, b, pdeg[a] - 1, pdeg[b] - 1, _plan(p, (a, b))) for a, b in _arc_orbits(p)]
+    anchors = _anchors(p)
     assign = [0] * size
 
     def hit_generic(u: int, v: int) -> bool:
-        pair = (1 << u) | (1 << v)
+        # every pattern is connected, so a copy through {u, v} lies in the
+        # component the new edge makes of theirs: it needs ``size`` vertices
+        pair = reach = frontier = (1 << u) | (1 << v)
+        while reach.bit_count() < size:
+            grown = reach
+            while frontier:
+                low = frontier & -frontier
+                grown |= adj[low.bit_length() - 1]
+                frontier ^= low
+            if grown == reach:
+                return False
+            frontier = grown ^ reach
+            reach = grown
         du = deg[u]
         dv = deg[v]
         for a, b, need_a, need_b, steps in anchors:
@@ -219,9 +237,10 @@ def _explore(n, p_red, p_blue, prefix, depth_stop, first_only, cap, deadline, re
     still found first.  ``tied`` is rebuilt while the prefix is replayed, so
     counters do not depend on where the tree is split.
 
-    Returns (results, nodes, prunes, truncated) where results holds complete
-    assignments of the explored range (all of them, or just the first when
-    ``first_only``) and truncated is None, "nodes", or "time".
+    Returns (results, marks, nodes, prunes, truncated) where results holds
+    complete assignments of the explored range (all of them, or just the
+    first when ``first_only``), marks the (nodes, prunes) counted when each
+    was reached, and truncated is None, "nodes", or "time".
     """
     edges = [(u, v, 1 << u, 1 << v) for v in range(1, n) for u in range(v)]
     # per-color state, indexed by color 1 or 2
@@ -263,6 +282,7 @@ def _explore(n, p_red, p_blue, prefix, depth_stop, first_only, cap, deadline, re
     nxt = [1] * (depth_stop + 1)
     nxt[base] = floor(base)
     results = []
+    marks = []
     nodes = 0
     prunes = 0
     truncated = None
@@ -322,6 +342,7 @@ def _explore(n, p_red, p_blue, prefix, depth_stop, first_only, cap, deadline, re
                 continue
         else:
             results.append(tuple(col[:depth_stop]))
+            marks.append((nodes, prunes))
             if first_only:
                 break
         # backtrack: take the edge at level - 1 off
@@ -336,15 +357,40 @@ def _explore(n, p_red, p_blue, prefix, depth_stop, first_only, cap, deadline, re
         a[v] ^= bu
         d[u] -= 1
         d[v] -= 1
-    return results, nodes, prunes, truncated
+    return results, marks, nodes, prunes, truncated
 
 
 def _subtree_task(args):
     n, p_red, p_blue, prefix, cap, deadline, reference = args
-    results, nodes, prunes, truncated = _explore(
+    results, _, nodes, prunes, truncated = _explore(
         n, p_red, p_blue, prefix, n * (n - 1) // 2, True, cap, deadline, reference
     )
     return (results[0] if results else None, nodes, prunes, truncated)
+
+
+class _LazyPool:
+    """Worker processes for the subtrees, started at the first ``map`` and
+    stopped on exit, so ``ramsey_number`` starts at most one pool for all
+    of its orders and small orders start none."""
+
+    def __init__(self, jobs: int):
+        self.jobs = jobs
+        self.executor = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self.executor is not None:
+            self.executor.shutdown()
+
+    def map(self, fn, tasks):
+        if self.executor is None:
+            # imported here: only pooled runs pay for multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            self.executor = ProcessPoolExecutor(max_workers=self.jobs)
+        return self.executor.map(fn, tasks)
 
 
 def _check_target(p: Pattern) -> None:
@@ -359,13 +405,17 @@ def search_two_color(
     budget: SearchBudget | None = None,
     jobs: int = 1,
     reference: bool = False,
+    *,
+    _pool: _LazyPool | None = None,
 ) -> SearchOutcome:
     """Decide whether some 2-coloring of K_n avoids ``p_red`` in color 1 and
     ``p_blue`` in color 2.  Returns a witness coloring (re-validated by the
     full detectors) or an exhausted verdict; raises BudgetExhausted when the
-    budget runs out first.  Verdict, witness, and counters do not depend on
-    ``jobs``.  ``reference`` runs the plain DFS, without the adjacent-column
-    rule: same verdict and witness, larger counters."""
+    budget runs out first.  Verdict, witness, counters and budget stops do
+    not depend on ``jobs``.  ``reference`` runs the plain DFS, without the
+    adjacent-column rule: same verdict and witness, larger counters.
+    ``_pool`` is the caller's worker pool, which ``ramsey_number`` shares
+    across orders; without it a pooled run starts its own."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if jobs < 1:
@@ -381,44 +431,54 @@ def search_two_color(
         witness = ColoredCompleteGraph(1, 2, [])
         return SearchOutcome("witness", witness, 0, 0)
 
-    depth = min(SPLIT_DEPTH, total - 1) if total > 1 else 0
-    prefixes, acc_nodes, acc_prunes, truncated = _explore(
-        n, p_red, p_blue, (), depth, False, cap, deadline, reference
-    )
-    if truncated is not None:
-        raise BudgetExhausted(truncated, cap if truncated == "nodes" else acc_nodes)
+    if jobs == 1:
+        # one DFS over the whole tree: the prefix phase at depth 0
+        prefixes, marks, prefix_nodes, prefix_prunes = [()], [(0, 0)], 0, 0
+    else:
+        # the pool gets the subtrees below the first SPLIT_DEPTH edges; this
+        # phase, at most 126 nodes, runs uncapped, and the fold judges the cap
+        depth = min(SPLIT_DEPTH, total - 1)
+        prefixes, marks, prefix_nodes, prefix_prunes, truncated = _explore(
+            n, p_red, p_blue, (), depth, False, float("inf"), deadline, reference
+        )
+        if truncated is not None:
+            raise BudgetExhausted(truncated, prefix_nodes)
 
-    witness_colors = None
-    pooled = jobs > 1 and len(prefixes) > 1
-    if pooled:
-        # imported here: only pooled runs pay for multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) if pooled else nullcontext() as pool:
+    # The sequential DFS reaches prefix i after marks[i] prefix nodes and
+    # the subtrees before it, so folding the subtrees in prefix order gives
+    # its counters, and its node cap trips at the same subtree.  The tasks
+    # of a wave get at least their remaining cap.
+    found = None
+    sub_nodes = sub_prunes = 0  # over the subtrees folded so far
+    with nullcontext(_pool) if _pool is not None else _LazyPool(jobs) as pool:
         for wave_start in range(0, len(prefixes), jobs):
-            wave = prefixes[wave_start : wave_start + jobs]
-            # every task in a wave gets the full remaining cap; the in-order
-            # fold below restores exact sequential accounting
-            tasks = [(n, p_red, p_blue, prefix, cap - acc_nodes, deadline, reference) for prefix in wave]
-            for found, nodes, prunes, truncated in (pool.map if len(wave) > 1 else map)(_subtree_task, tasks):
-                acc_nodes += nodes
-                acc_prunes += prunes
-                if truncated == "time":
-                    raise BudgetExhausted("time", acc_nodes)
-                if acc_nodes > cap:
+            wave = range(wave_start, min(wave_start + jobs, len(prefixes)))
+            tasks = [(n, p_red, p_blue, prefixes[i], cap - marks[i][0] - sub_nodes, deadline, reference) for i in wave]
+            for i, (found, nodes, prunes, truncated) in zip(
+                wave, (pool.map if len(wave) > 1 else map)(_subtree_task, tasks)
+            ):
+                sub_nodes += nodes
+                sub_prunes += prunes
+                if marks[i][0] + sub_nodes > cap:
                     raise BudgetExhausted("nodes", cap)
+                if truncated == "time":
+                    raise BudgetExhausted("time", marks[i][0] + sub_nodes)
                 if found is not None:
-                    witness_colors = found
+                    # the DFS stops here, before the rest of the prefix phase
+                    prefix_nodes, prefix_prunes = marks[i]
                     break
-            if witness_colors is not None:
+            if found is not None:
                 break
-
-    if witness_colors is None:
-        return SearchOutcome("exhausted", None, acc_nodes, acc_prunes)
-    witness = ColoredCompleteGraph(n, 2, witness_colors)
+    nodes, prunes = prefix_nodes + sub_nodes, prefix_prunes + sub_prunes
+    if found is None:
+        if nodes > cap:
+            raise BudgetExhausted("nodes", cap)
+        return SearchOutcome("exhausted", None, nodes, prunes)
+    witness = ColoredCompleteGraph(n, 2, found)
     for p, color in ((p_red, 1), (p_blue, 2)):
         if contains_pattern(witness, p, color) is not None:
             raise RuntimeError("internal: witness coloring failed detector re-validation")
-    return SearchOutcome("witness", witness, acc_nodes, acc_prunes)
+    return SearchOutcome("witness", witness, nodes, prunes)
 
 
 def ramsey_number(
@@ -435,13 +495,14 @@ def ramsey_number(
     if n_max < 2:
         raise ValueError(f"need n_max >= 2, got {n_max}")
     previous: SearchOutcome | None = None
-    for n in range(2, n_max + 1):
-        outcome = search_two_color(n, p_a, p_b, budget=budget, jobs=jobs, reference=reference)
-        if outcome.verdict == "exhausted":
-            # search_two_color already re-validated the witness it returned
-            witness = previous.witness if previous is not None else ColoredCompleteGraph(1, 2, [])
-            return RamseyCertificate(n, witness, previous, outcome)
-        previous = outcome
+    with _LazyPool(jobs) as pool:
+        for n in range(2, n_max + 1):
+            outcome = search_two_color(n, p_a, p_b, budget=budget, jobs=jobs, reference=reference, _pool=pool)
+            if outcome.verdict == "exhausted":
+                # search_two_color already re-validated the witness it returned
+                witness = previous.witness if previous is not None else ColoredCompleteGraph(1, 2, [])
+                return RamseyCertificate(n, witness, previous, outcome)
+            previous = outcome
     raise NotFoundBelowCap(f"every order up to {n_max} still admits a valid coloring")
 
 

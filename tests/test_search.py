@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import itertools
 import time
@@ -119,20 +120,13 @@ def _copy_through_edge(p, color_of, n, u, v, c):
     return False
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(
-    p=st.builds(Pattern, st.sampled_from(PATTERN_KINDS), st.integers(3, 5)),
-    n=st.integers(2, 7),
-    data=st.data(),
-)
-def test_checker_matches_permutation_oracle(p, n, data):
+def _assert_checker_matches_oracle(p, n, data, palette):
     # a partial 2-coloring (0 = not yet assigned) about to give {u, v} color
     # c: the checker's rows omit {u, v}, the oracle's coloring has it in c;
-    # c is drawn more often than the rest so that copies occur
+    # the other pairs draw their colors from ``palette(c)``
     c = data.draw(st.sampled_from((1, 2)))
     pairs = list(itertools.combinations(range(n), 2))
-    palette = st.sampled_from((c, c, c, 3 - c, 0))
-    colors = data.draw(st.lists(palette, min_size=len(pairs), max_size=len(pairs)))
+    colors = data.draw(st.lists(st.sampled_from(palette(c)), min_size=len(pairs), max_size=len(pairs)))
     u, v = data.draw(st.sampled_from(pairs))
     color_of = {frozenset(e): col for e, col in zip(pairs, colors)}
     color_of[frozenset((u, v))] = c
@@ -151,6 +145,29 @@ def test_checker_matches_permutation_oracle(p, n, data):
     assert hit(v, u) == expected
 
 
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    p=st.builds(Pattern, st.sampled_from(PATTERN_KINDS), st.integers(3, 5)),
+    n=st.integers(2, 7),
+    data=st.data(),
+)
+def test_checker_matches_permutation_oracle(p, n, data):
+    # c is drawn more often than the rest so that copies occur
+    _assert_checker_matches_oracle(p, n, data, lambda c: (c, c, c, 3 - c, 0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    p=st.builds(Pattern, st.sampled_from(PATTERN_KINDS), st.integers(3, 5)),
+    n=st.integers(5, 9),
+    data=st.data(),
+)
+def test_checker_matches_permutation_oracle_on_sparse_colors(p, n, data):
+    # color c is sparse, so it often falls apart into components too small
+    # for p, where the generic checker answers before it walks an arc
+    _assert_checker_matches_oracle(p, n, data, lambda c: (c, 3 - c, 0, 0))
+
+
 # the sha256 of each pinned pair's witness GCG bytes: the default search and
 # the plain DFS (reference=True) find the same witness
 WITNESS_SHA256 = {
@@ -162,6 +179,11 @@ WITNESS_SHA256 = {
     "S5-S5": "c22839c614192022780b0b6e4e7ab8efc65d8501ca010715ebf79180d0a3c179",
     "S4-S6": "2f18e90387cc0b198a629e27c00239761c60ed85329a5c504359f6f96c5c0b66",
 }
+
+
+def _sha256(witness):
+    return hashlib.sha256(encode(witness).encode("ascii")).hexdigest()
+
 
 PINNED_PAIRS = {
     "C5-C5": (Pattern.cycle(5), Pattern.cycle(5), 9),
@@ -180,7 +202,7 @@ def _assert_pinned(name, witness_counts, exhausted_counts, reference):
     assert cert.value == value
     assert (cert.witness_outcome.nodes, cert.witness_outcome.prunes) == witness_counts
     assert (cert.exhausted_outcome.nodes, cert.exhausted_outcome.prunes) == exhausted_counts
-    assert hashlib.sha256(encode(cert.witness).encode("ascii")).hexdigest() == WITNESS_SHA256[name]
+    assert _sha256(cert.witness) == WITNESS_SHA256[name]
 
 
 def _pins(rows):
@@ -190,9 +212,9 @@ def _pins(rows):
 # the plain DFS's (nodes, prunes) at the witness and exhausted orders, for
 # pairs the generic checker serves
 @_pins([
-    ("C5-C5", (342, 136), (57181, 28591)),
-    ("P5-P5", (101, 16), (3463, 1732)),
-    ("P4-P5", (179, 40), (2768, 1385)),
+    ("C5-C5", (285, 136), (57181, 28591)),
+    ("P5-P5", (44, 16), (3463, 1732)),
+    ("P4-P5", (80, 32), (2768, 1385)),
 ])
 def test_generic_checker_counters_are_pinned(name, witness_counts, exhausted_counts):
     _assert_pinned(name, witness_counts, exhausted_counts, reference=True)
@@ -200,10 +222,10 @@ def test_generic_checker_counters_are_pinned(name, witness_counts, exhausted_cou
 
 # the same, for pairs the triangle and star-plus checkers serve
 @_pins([
-    ("K3-K3", (77, 30), (325, 163)),
-    ("S4-S4", (66, 19), (539, 270)),
-    ("S5-S5", (101, 16), (19837, 9919)),
-    ("S4-S6", (262, 77), (636336, 318169)),
+    ("K3-K3", (47, 21), (325, 163)),
+    ("S4-S4", (24, 9), (539, 270)),
+    ("S5-S5", (44, 16), (19837, 9919)),
+    ("S4-S6", (163, 69), (636336, 318169)),
 ])
 def test_bitmask_checker_counters_are_pinned(name, witness_counts, exhausted_counts):
     _assert_pinned(name, witness_counts, exhausted_counts, reference=True)
@@ -212,13 +234,13 @@ def test_bitmask_checker_counters_are_pinned(name, witness_counts, exhausted_cou
 # the default search's counters on the same pairs: the adjacent-column rule
 # shrinks every tree and leaves every witness as it was
 @_pins([
-    ("C5-C5", (181, 51), (2522, 923)),
-    ("P5-P5", (69, 4), (547, 205)),
-    ("P4-P5", (95, 14), (242, 89)),
-    ("K3-K3", (50, 17), (78, 32)),
-    ("S4-S4", (44, 8), (126, 48)),
-    ("S5-S5", (69, 4), (1072, 396)),
-    ("S4-S6", (136, 21), (3728, 1410)),
+    ("C5-C5", (144, 51), (2522, 923)),
+    ("P5-P5", (32, 4), (547, 205)),
+    ("P4-P5", (59, 13), (242, 89)),
+    ("K3-K3", (33, 12), (78, 32)),
+    ("S4-S4", (18, 3), (126, 48)),
+    ("S5-S5", (32, 4), (1072, 396)),
+    ("S4-S6", (100, 20), (3728, 1410)),
 ])
 def test_symmetry_pruned_counters_are_pinned(name, witness_counts, exhausted_counts):
     _assert_pinned(name, witness_counts, exhausted_counts, reference=False)
@@ -336,21 +358,37 @@ def test_time_budget_stops_soon_where_nodes_are_costly(target):
 
 
 def test_split_depth_does_not_change_answers(monkeypatch):
-    # the witness and verdict never depend on the work-splitting depth; node
-    # counters do on witness runs (deeper splits enumerate more prefixes
-    # before the first-hit scan), so counters are pinned only when exhausted
-    baseline = search_two_color(6, SP4, SP4)
-    for depth in (1, 2, 3, 8, 15):
-        monkeypatch.setattr(search, "SPLIT_DEPTH", depth)
-        out = search_two_color(6, SP4, SP4)
-        assert out.verdict == "witness"
-        assert encode(out.witness) == encode(baseline.witness)
-    monkeypatch.undo()
-    exhausted = search_two_color(7, SP4, SP4)
-    for depth in (1, 4, 21):
-        monkeypatch.setattr(search, "SPLIT_DEPTH", depth)
-        out = search_two_color(7, SP4, SP4)
-        assert (out.verdict, out.nodes, out.prunes) == ("exhausted", exhausted.nodes, exhausted.prunes)
+    # every split and worker count folds onto the one DFS's counters, at
+    # witness orders too (at depth 6 and 15 the witness lies below a later
+    # prefix than the first), for a pair the triangle checker serves and one
+    # the generic checker serves: (pair, order, verdict, nodes, prunes)
+    for name, n, verdict, nodes, prunes in [
+        ("K3-K3", 5, "witness", 33, 12),
+        ("K3-K3", 6, "exhausted", 78, 32),
+        ("P4-P5", 8, "witness", 59, 13),
+        ("P4-P5", 9, "exhausted", 242, 89),
+    ]:
+        pa, pb, _ = PINNED_PAIRS[name]
+        sha = WITNESS_SHA256[name] if verdict == "witness" else None
+        for depth in (1, 3, 6, 15):
+            monkeypatch.setattr(search, "SPLIT_DEPTH", depth)
+            for jobs in (1, 2):
+                out = search_two_color(n, pa, pb, jobs=jobs)
+                got = (out.verdict, out.nodes, out.prunes, out.witness and _sha256(out.witness))
+                assert got == (verdict, nodes, prunes, sha)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_node_budget_stops_where_the_single_job_search_does(jobs):
+    # order 8 of P4-P5 has a witness after 59 nodes, below the second of its
+    # 17 prefixes: a cap of 58 stops every run, 59 and above let it finish
+    pa, pb, _ = PINNED_PAIRS["P4-P5"]
+    with pytest.raises(BudgetExhausted) as exc:
+        search_two_color(8, pa, pb, budget=SearchBudget(max_nodes=58), jobs=jobs)
+    assert (exc.value.reason, exc.value.nodes) == ("nodes", 58)
+    for cap in (59, 60):
+        out = search_two_color(8, pa, pb, budget=SearchBudget(max_nodes=cap), jobs=jobs)
+        assert (out.verdict, out.nodes, out.prunes) == ("witness", 59, 13)
 
 
 def test_jobs_do_not_change_outcome():
@@ -368,6 +406,22 @@ def test_pooled_runs_keep_the_reference_mode():
     for jobs in (1, 2):
         out = search_two_color(7, SP4, SP4, jobs=jobs, reference=True)
         assert (out.verdict, out.nodes, out.prunes) == ("exhausted", 539, 270)
+
+
+def test_ramsey_number_starts_one_pool_for_all_orders(monkeypatch):
+    # orders with fewer than two prefixes start none
+    started = []
+
+    class Counted(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    assert ramsey_number(Pattern.path(2), Pattern.path(2), n_max=4, jobs=2).value == 2
+    assert started == []
+    assert ramsey_number(SP4, SP4, n_max=8, jobs=2).value == 7
+    assert started == [2]
 
 
 def test_asymmetric_targets_search_both_color_orders():
