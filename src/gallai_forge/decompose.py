@@ -8,15 +8,20 @@ vertices connected by edges colored outside S must share a part, and parts
 joined by more than one color must merge.  The components outside S come
 from a search over per-color neighbor bitmasks, packed once per call; most
 candidates leave K_n connected, and the search stops as soon as its first
-component has reached every vertex.  The same search finds which parts
-merge.  The rainbow check reads the graph's triangle census, so a graph
+component has reached every vertex.  Two parts are joined by one color iff
+every edge between them has the color of the edge between their first
+vertices, so a merge round finds the offending pairs by one comparison of
+the color matrix with its entries at the parts' first vertices, and the
+same search merges them.  Validation checks the parts as one exact cover
+over a flat vertex array, and scans them one by one only to name the first
+fault.  The rainbow check reads the graph's triangle census, so a graph
 whose detectors have run is not counted again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -49,8 +54,11 @@ class GallaiPartition:
     @property
     def between_colors(self) -> frozenset:
         """The colors used between parts: the quotient's off-diagonal values."""
-        iu, iv = np.triu_indices(len(self.quotient), 1)
-        return frozenset(np.unique(self.quotient[iu, iv]).tolist())
+        q = self.quotient
+        values = np.sort(q[~np.eye(len(q), dtype=bool)])
+        # the first value and each one unlike its predecessor; one sort beats
+        # np.unique's hash table on these long runs of few colors
+        return frozenset(values[:1].tolist() + values[1:][values[1:] != values[:-1]].tolist())
 
     def to_json_dict(self) -> dict:
         q = self.quotient.tolist()
@@ -69,11 +77,11 @@ def _components(rows: list[list[int]], n: int) -> tuple[np.ndarray, int]:
 
     A popped vertex v reaches every unseen vertex outside the OR of its
     rows.  When the first component reaches every vertex, often after a few
-    pops, the search returns at once with all labels 0.
+    pops, the search returns at once with all labels 0.  Otherwise the
+    components' masks are collected and turned into labels at the end.
     """
-    labels = np.zeros(n, dtype=np.intp)
     unseen = (1 << n) - 1
-    count = 0
+    found = []
     while unseen:
         frontier = component = unseen & -unseen
         unseen ^= frontier
@@ -87,11 +95,14 @@ def _components(rows: list[list[int]], n: int) -> tuple[np.ndarray, int]:
             unseen ^= reached
             frontier |= reached
             component |= reached
-        if count == 0 and not unseen:
-            return labels, 1
-        labels[list(iter_bits(component))] = count
-        count += 1
-    return labels, count
+        if not found and not unseen:
+            return np.zeros(n, dtype=np.intp), 1
+        found.append(component)
+    labels = [0] * n
+    for count, component in enumerate(found):
+        for v in iter_bits(component):
+            labels[v] = count
+    return np.array(labels, dtype=np.intp), len(found)
 
 
 def _merge_bichromatic(square: np.ndarray, labels: np.ndarray, count: int) -> tuple[np.ndarray, int]:
@@ -100,43 +111,36 @@ def _merge_bichromatic(square: np.ndarray, labels: np.ndarray, count: int) -> tu
     Merging is forced and monotone (a bichromatic pair stays bichromatic when
     either side grows), so the fixpoint does not depend on merge order; each
     round merges the components of the graph of all offending part pairs.
+    Parts i and j are joined by one color iff every edge between them has
+    the color of the edge between their first vertices, so a round compares
+    the square with its entries at the first vertices of the two parts.
     """
     n = square.shape[0]
-    iu, iv = np.triu_indices(n, 1)
-    edge_colors = square[iu, iv].astype(np.int64)
     while count > 1:
-        li = labels[iu]
-        lj = labels[iv]
-        cross = li != lj
-        lo = np.minimum(li, lj)[cross]
-        hi = np.maximum(li, lj)[cross]
-        pair_id = lo * count + hi
-        colors = edge_colors[cross]
-        cmin = np.full(count * count, np.iinfo(np.int64).max, dtype=np.int64)
-        cmax = np.zeros(count * count, dtype=np.int64)
-        np.minimum.at(cmin, pair_id, colors)
-        np.maximum.at(cmax, pair_id, colors)
-        offending = np.nonzero(cmin < cmax)[0]
-        if offending.size == 0:
+        first = np.unique(labels, return_index=True)[1][labels]
+        wrong = square != square[first][:, first]
+        # an edge inside a part meets the zero diagonal entry at the part's
+        # first vertex and always differs; any further difference offends
+        if np.count_nonzero(wrong) == (np.bincount(labels) ** 2).sum() - n:
             break
-        joins = [0] * count
-        for i, j in zip(*(x.tolist() for x in divmod(offending, count))):
-            joins[i] |= 1 << j
-            joins[j] |= 1 << i
-        # the join graph is K_count without the pairs that are not joined
-        merged, count = _components([[~j for j in joins]], count)
+        wrong &= labels[:, None] < labels[None, :]
+        lu, lv = (labels[x] for x in np.nonzero(wrong))
+        offending = np.zeros((count, count), dtype=bool)
+        offending[lu, lv] = offending[lv, lu] = True
+        # the search joins the pairs whose bit is clear: the offending ones
+        merged, count = _components([_row_masks(~offending)], count)
         labels = merged[labels]
     return labels, count
 
 
 def _package(square: np.ndarray, labels: np.ndarray) -> GallaiPartition:
-    members = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
-    members.sort(key=lambda ix: int(ix[0]))
-    reps = [int(ix[0]) for ix in members]
-    quotient = square[np.ix_(reps, reps)]
+    order = np.argsort(labels, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(labels)).tolist()
+    parts = sorted((tuple(order[a:b]) for a, b in zip([0] + ends, ends)), key=lambda part: part[0])
+    reps = [part[0] for part in parts]
+    quotient = square[reps][:, reps]
     quotient.setflags(write=False)
-    parts = tuple(tuple(ix.tolist()) for ix in members)
-    return GallaiPartition(parts, quotient)
+    return GallaiPartition(tuple(parts), quotient)
 
 
 def gallai_partition(graph: ColoredCompleteGraph) -> GallaiPartition:
@@ -180,25 +184,19 @@ def validate_partition(graph: ColoredCompleteGraph, partition: GallaiPartition) 
     m = len(parts)
     if m < 2:
         return False, f"{m} part(s), need at least 2"
-    labels = np.full(graph.n, -1, dtype=np.intp)
-    for index, part in enumerate(parts):
-        if len(part) == 0:
-            return False, f"part {index} is empty"
-        for v in part:
-            if not 0 <= v < graph.n:
-                return False, f"part {index} contains out-of-range vertex {v}"
-            if labels[v] >= 0:
-                return False, f"vertex {v} appears in more than one part"
-            labels[v] = index
-    if (labels < 0).any():
-        return False, f"vertex {int(np.argmax(labels < 0))} is not covered"
+    labels, why = _cover(graph.n, parts)
+    if why is not None:
+        return False, why
     q = partition.quotient
     if q.shape != (m, m) or (q != q.T).any() or np.diagonal(q).any():
         return False, f"quotient must be a symmetric {m}x{m} matrix with a zero diagonal"
     # every cross-part entry once, u in the lower-numbered part, row-major
     square = graph.as_square()
-    wrong = (square != q[labels][:, labels]) & (labels[:, None] < labels[None, :])
-    if wrong.any():
+    wrong = square != q[labels][:, labels]
+    # an edge inside a part meets q's zero diagonal and always differs;
+    # any further difference is a wrong cross-part entry
+    if np.count_nonzero(wrong) > (np.bincount(labels) ** 2).sum() - graph.n:
+        wrong &= labels[:, None] < labels[None, :]
         u, v = (int(x) for x in np.unravel_index(np.argmax(wrong), wrong.shape))
         i, j = int(labels[u]), int(labels[v])
         return False, (
@@ -209,6 +207,41 @@ def validate_partition(graph: ColoredCompleteGraph, partition: GallaiPartition) 
     if len(between) > 2:
         return False, f"{len(between)} colors between parts, at most 2 allowed"
     return True, None
+
+
+def _cover(n: int, parts) -> tuple[np.ndarray, str | None]:
+    """Each vertex's part index, and the first fault if the parts do not
+    cover 0..n-1 exactly once.
+
+    One check over the flat vertex array decides: n integer vertices in
+    range, each counted once, and no empty part.  Only when it fails does a
+    scan, part by part and vertex by vertex, name the first fault."""
+    sizes = [len(part) for part in parts]
+    flat = np.array(list(chain.from_iterable(parts)))
+    if (
+        flat.dtype.kind == "i"
+        and flat.size == n
+        and min(sizes) > 0
+        and flat.min() >= 0
+        and flat.max() < n
+        and (np.bincount(flat, minlength=n) == 1).all()
+    ):
+        labels = np.empty(n, dtype=np.intp)
+        labels[flat] = np.repeat(np.arange(len(parts)), sizes)
+        return labels, None
+    labels = np.full(n, -1, dtype=np.intp)
+    for index, part in enumerate(parts):
+        if len(part) == 0:
+            return labels, f"part {index} is empty"
+        for v in part:
+            if not 0 <= v < n:
+                return labels, f"part {index} contains out-of-range vertex {v}"
+            if labels[v] >= 0:
+                return labels, f"vertex {v} appears in more than one part"
+            labels[v] = index
+    if (labels < 0).any():
+        return labels, f"vertex {int(np.argmax(labels < 0))} is not covered"
+    return labels, None
 
 
 def reduced_graph(graph: ColoredCompleteGraph, partition: GallaiPartition) -> ColoredCompleteGraph:

@@ -195,8 +195,8 @@ def _census(graph: ColoredCompleteGraph) -> _Census:
         rows = np.zeros((colors.size, n, row_bytes), dtype=np.uint8)
         for i, c in enumerate(colors):
             rows[i, :, : -(-n // 8)] = np.packbits(square == c, axis=1)
-        words = rows.view(np.uint64)
-        deg = np.bitwise_count(words).sum(axis=2, dtype=np.int64)
+        words = rows.view(np.uint64).reshape(colors.size * n, -1)  # row ci * n + v
+        deg = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
         ends = np.zeros(colors.size * n)  # 2 T_c(v): |N_c(u) & N_c(w)| over the c-edges uw at v
         paths = np.zeros(colors.size * n)  # c-paths v-x-y with y != v, from each v
         for u0 in range(1, n, step):
@@ -209,14 +209,15 @@ def _census(graph: ColoredCompleteGraph) -> _Census:
             if colors.size < used.size:  # keep the edges whose color is in this block
                 here = (ci >= 0) & (ci < colors.size)
                 u, w, ci = u[here], w[here], ci[here]
-            common = words[ci, u]
-            common &= words[ci, w]
-            on_edge = np.bitwise_count(common).astype(np.float32) @ ones
             at_u, at_w = ci * n + u, ci * n + w
+            del u, w, ci  # the gathers below need only the rows of the flat view
+            common = words.take(at_u, axis=0)
+            common &= words.take(at_w, axis=0)
+            on_edge = np.bitwise_count(common).astype(np.float32) @ ones
             ends += np.bincount(at_u, on_edge, ends.size) + np.bincount(at_w, on_edge, ends.size)
-            paths += np.bincount(at_u, deg[ci, w] - 1, paths.size)
-            paths += np.bincount(at_w, deg[ci, u] - 1, paths.size)
-        ends = ends.reshape(colors.size, n)
+            paths += np.bincount(at_u, deg.take(at_w) - 1, paths.size)
+            paths += np.bincount(at_w, deg.take(at_u) - 1, paths.size)
+        deg, ends = deg.reshape(colors.size, n), ends.reshape(colors.size, n)
         lost += (deg * (deg - 1) / 2 + paths.reshape(colors.size, n) - ends).sum(axis=0)
         for c, d, e in zip(colors.tolist(), deg, ends):
             if e.any():

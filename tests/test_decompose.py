@@ -10,8 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from conftest import colorings, rainbow_triples, recolored_gallai
 from gallai_forge import decompose
@@ -264,6 +262,9 @@ def test_partition_valid_or_refused_with_first_rainbow(case):
 
 def _dense_components(square: np.ndarray, color_set: tuple[int, ...]) -> tuple[np.ndarray, int]:
     """Reference: scipy components of the dense graph of edges colored outside the set."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     adj = ~np.isin(square, color_set)
     np.fill_diagonal(adj, False)
     count, labels = connected_components(csr_matrix(adj), directed=False)
@@ -285,6 +286,7 @@ def _blocks(labels: np.ndarray) -> set[frozenset[int]]:
     )
 )
 def test_components_outside_match_the_dense_oracle(g):
+    pytest.importorskip("scipy")
     square = g.as_square()
     colors = range(1, g.k + 1)
     masks = {c: g.color_masks(c) for c in colors}
@@ -299,6 +301,9 @@ def test_components_outside_match_the_dense_oracle(g):
 def _scipy_merge(square: np.ndarray, labels: np.ndarray, count: int) -> tuple[np.ndarray, int, list[int]]:
     """Reference: merge rounds through scipy components of the offending
     part pairs; also returns how many pairs offended in each round."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     n = square.shape[0]
     iu, iv = np.triu_indices(n, 1)
     rounds = []
@@ -330,7 +335,12 @@ def _merge_counting_rounds(square: np.ndarray, labels: np.ndarray, count: int) -
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(g=colorings(30, 4), parts=st.lists(st.integers(0, 9), min_size=30, max_size=30))
 def test_merge_matches_scipy_components(g, parts):
-    _, labels = np.unique(parts[: g.n], return_inverse=True)
+    pytest.importorskip("scipy")
+    _assert_merge_matches_scipy(g, parts[: g.n])
+
+
+def _assert_merge_matches_scipy(g: ColoredCompleteGraph, parts: list[int]) -> None:
+    _, labels = np.unique(parts, return_inverse=True)
     count = int(labels.max()) + 1
     square = g.as_square()
     got, got_count, got_rounds = _merge_counting_rounds(square, labels, count)
@@ -341,7 +351,35 @@ def test_merge_matches_scipy_components(g, parts):
     assert sorted(set(got.tolist())) == list(range(got_count))
 
 
+@st.composite
+def _many_parts(draw) -> tuple[ColoredCompleteGraph, list[int]]:
+    """A coloring on at most 40 vertices with one, two or random_gallai's
+    colors, and part labels drawn from 0..n-1, so that up to n parts start."""
+    n = draw(st.integers(2, 40))
+    size = n * (n - 1) // 2
+    g = draw(
+        st.one_of(
+            st.builds(ColoredCompleteGraph, st.just(n), st.just(2), st.lists(st.integers(1, 2), min_size=size, max_size=size)),
+            st.builds(random_gallai, st.just(n), st.integers(1, 5), st.integers(0, 2**32 - 1)),
+            st.builds(new_uniform, st.just(n), st.just(1), st.integers(1, 3)),
+        )
+    )
+    return g, draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+
+
+# all singletons, and parts of two vertices that must merge
+@example(case=(new_uniform(40, 1, 2), list(range(40))))
+@example(case=(random_gallai(40, 2, 3), list(range(40))))
+@example(case=(ColoredCompleteGraph(40, 2, [1 + i % 2 for i in range(780)]), [v // 2 for v in range(40)]))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=_many_parts())
+def test_merge_with_many_parts_matches_scipy_components(case):
+    pytest.importorskip("scipy")
+    _assert_merge_matches_scipy(*case)
+
+
 def test_merge_takes_rounds_with_several_offending_pairs():
+    pytest.importorskip("scipy")
     # mostly color 1; two part pairs offend at first, and merging them
     # makes a third offend
     tri = [1] * 36
@@ -365,3 +403,116 @@ def test_partition_bytes_are_pinned():
     for g in graphs:
         digest.update(json.dumps(gallai_partition(g).to_json_dict(), sort_keys=True).encode())
     assert digest.hexdigest() == "48ec5d4ec14ee0f91ccd468bbff20c10bdc2175fec2e024f651273f58860500b"
+
+
+def _validate_by_loop(graph: ColoredCompleteGraph, partition: GallaiPartition) -> tuple[bool, str | None]:
+    """Reference: validation that labels the vertices one at a time and reads
+    the between-colors from the upper triangle."""
+    parts = partition.parts
+    m = len(parts)
+    if m < 2:
+        return False, f"{m} part(s), need at least 2"
+    labels = np.full(graph.n, -1, dtype=np.intp)
+    for index, part in enumerate(parts):
+        if len(part) == 0:
+            return False, f"part {index} is empty"
+        for v in part:
+            if not 0 <= v < graph.n:
+                return False, f"part {index} contains out-of-range vertex {v}"
+            if labels[v] >= 0:
+                return False, f"vertex {v} appears in more than one part"
+            labels[v] = index
+    if (labels < 0).any():
+        return False, f"vertex {int(np.argmax(labels < 0))} is not covered"
+    q = partition.quotient
+    if q.shape != (m, m) or (q != q.T).any() or np.diagonal(q).any():
+        return False, f"quotient must be a symmetric {m}x{m} matrix with a zero diagonal"
+    square = graph.as_square()
+    wrong = (square != q[labels][:, labels]) & (labels[:, None] < labels[None, :])
+    if wrong.any():
+        u, v = (int(x) for x in np.unravel_index(np.argmax(wrong), wrong.shape))
+        i, j = int(labels[u]), int(labels[v])
+        return False, (
+            f"edge {{{u}, {v}}} between parts {i} and {j} has color "
+            f"{int(square[u, v])}, quotient says {int(q[i, j])}"
+        )
+    iu, iv = np.triu_indices(m, 1)
+    between = set(q[iu, iv].tolist())
+    if len(between) > 2:
+        return False, f"{len(between)} colors between parts, at most 2 allowed"
+    return True, None
+
+
+_TAMPERS = (
+    "empty part",
+    "duplicate",
+    "out of range",
+    "drop",
+    "swap parts",
+    "recolor",
+    "asymmetric",
+    "shape",
+    "diagonal",
+    "singletons",
+    "single part",
+)
+
+
+@st.composite
+def _tampered_partitions(draw) -> tuple[ColoredCompleteGraph, GallaiPartition]:
+    """A partition from gallai_partition (the singletons when the coloring
+    has a rainbow triangle) with one to three tampers applied in turn."""
+    g = draw(
+        st.one_of(
+            colorings(16, 4),
+            st.builds(random_gallai, st.integers(2, 40), st.integers(1, 5), st.integers(0, 2**32 - 1)),
+        )
+    )
+    singletons = [[v] for v in range(g.n)]
+    try:
+        p = gallai_partition(g)
+        parts, q = [list(part) for part in p.parts], p.quotient.astype(np.int64)
+    except (RainbowTrianglePresent, ValueError):  # ValueError: a single vertex
+        parts, q = singletons, g.as_square().astype(np.int64)
+    for tamper in draw(st.lists(st.sampled_from(_TAMPERS), min_size=1, max_size=3)):
+        part = parts[draw(st.integers(0, len(parts) - 1))] if parts else None
+        square_q = q.ndim == 2 and q.shape[0] == q.shape[1] >= 2
+        if tamper == "empty part":
+            parts.insert(draw(st.integers(0, len(parts))), [])
+        elif tamper == "duplicate" and part:
+            v = draw(st.integers(0, g.n - 1))
+            if draw(st.booleans()):
+                part[draw(st.integers(0, len(part) - 1))] = v  # keeps the vertex count
+            else:
+                part.insert(draw(st.integers(0, len(part))), v)
+        elif tamper == "out of range" and part is not None:
+            part.insert(draw(st.integers(0, len(part))), draw(st.sampled_from([-1, g.n, g.n + 7])))
+        elif tamper == "drop" and part:
+            del part[draw(st.integers(0, len(part) - 1))]
+            if not part:
+                parts.remove(part)
+        elif tamper == "swap parts" and len(parts) >= 2:
+            i, j = draw(st.lists(st.integers(0, len(parts) - 1), min_size=2, max_size=2, unique=True))
+            parts[i], parts[j] = parts[j], parts[i]
+        elif tamper in ("recolor", "asymmetric") and square_q:
+            i, j = draw(st.lists(st.integers(0, q.shape[0] - 1), min_size=2, max_size=2, unique=True))
+            q[i, j] = draw(st.integers(1, g.k + 1))
+            if tamper == "recolor":
+                q[j, i] = q[i, j]
+        elif tamper == "shape" and q.ndim == 2:
+            q = draw(st.sampled_from([np.pad(q, 1)[1:, 1:], q[:-1], q.ravel()]))
+        elif tamper == "diagonal" and square_q:
+            i = draw(st.integers(0, q.shape[0] - 1))
+            q[i, i] = draw(st.integers(1, g.k))
+        elif tamper == "singletons":
+            parts, q = singletons, g.as_square().astype(np.int64)
+        elif tamper == "single part":
+            parts, q = [list(range(g.n))], np.zeros((1, 1), dtype=np.int64)
+    return g, GallaiPartition(tuple(tuple(part) for part in parts), q)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=_tampered_partitions())
+def test_validation_matches_the_vertex_loop(case):
+    g, p = case
+    assert validate_partition(g, p) == _validate_by_loop(g, p)
