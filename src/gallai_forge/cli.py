@@ -212,9 +212,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-t", type=int, required=True, help="second target order")
     p.add_argument("-s", type=int, default=None, help="first target order (defaults to t)")
     p.add_argument("--n-max", type=int, default=None, help="largest order to try")
-    p.add_argument("--max-nodes", type=int, default=None)
-    p.add_argument("--max-seconds", type=float, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    per_order = "for each order tried (2 up to the value), counted afresh at each: a run may spend value - 1 caps"
+    p.add_argument("--max-nodes", type=int, default=None, help=f"node cap {per_order}")
+    p.add_argument("--max-seconds", type=float, default=None, help=f"time cap in seconds {per_order}")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes; changes no counter, witness or stdout byte")
     p.add_argument("--out-dir", default=".", help="directory for witness files")
     p.set_defaults(handler=_cmd_ramsey)
 

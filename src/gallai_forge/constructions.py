@@ -1,10 +1,12 @@
 """Extremal and randomized rainbow-triangle-free colorings.
 
 The lower-bound family starts from a one- or two-clique seed and repeatedly
-substitutes the whole coloring into the five corners of a 2-colored K_5
-whose color classes are both 5-cycles.  Each step multiplies the order by 5
-and spends two fresh colors, which is what makes the closed-form orders
-sharp.
+substitutes the whole coloring into the five corners of ``pentagon_k5``, the
+2-colored K_5 whose color classes are both 5-cycles: each copy's block of the
+blown-up color matrix is the child's, and every other block is filled with
+the pentagon's color between the two corners.  Each step multiplies the
+order by 5 and spends two fresh colors, which is what makes the closed-form
+orders sharp.
 """
 
 from __future__ import annotations
@@ -49,26 +51,19 @@ def pentagon_k5(c_a: int, c_b: int) -> ColoredCompleteGraph:
 
 
 def blow_up_5(graph: ColoredCompleteGraph, c_a: int, c_b: int) -> ColoredCompleteGraph:
-    """Substitute ``graph`` into all five corners of the 2-colored K_5 above.
+    """Substitute ``graph`` into all five corners of ``pentagon_k5(c_a, c_b)``.
 
-    Copy j occupies vertices [j*|G|, (j+1)*|G|).  Edges between copies i and j
-    get c_a when j - i = +-1 (mod 5) and c_b when j - i = +-2 (mod 5).
-    Preserves rainbow-freeness: a triangle across two copies repeats its
-    between-copy color, and across three copies it uses at most two colors.
+    Copy j occupies vertices [j*|G|, (j+1)*|G|), and the edges between copies
+    i and j take the pentagon's color of {i, j}.  Preserves rainbow-freeness:
+    a triangle across two copies repeats its between-copy color, and across
+    three copies it uses at most two colors.
     """
-    if c_a == c_b:
-        raise ValueError("the two between-copy colors must differ")
-    if min(c_a, c_b) < 1:
-        raise ValueError("colors are 1-based")
+    pentagon = pentagon_k5(c_a, c_b)
     m = graph.n
-    child = graph.as_square()
-    n = 5 * m
-    sq = np.empty((n, n), dtype=np.uint16)
-    for i in range(5):
-        for j in range(5):
-            block = child if i == j else (c_a if (j - i) % 5 in (1, 4) else c_b)
-            sq[i * m : (i + 1) * m, j * m : (j + 1) * m] = block
-    return ColoredCompleteGraph.from_square(n, max(graph.k, c_a, c_b), sq)
+    sq = pentagon.as_square().repeat(m, axis=0).repeat(m, axis=1)
+    for j in range(5):
+        sq[j * m : (j + 1) * m, j * m : (j + 1) * m] = graph.as_square()
+    return ColoredCompleteGraph.from_square(5 * m, max(graph.k, pentagon.k), sq)
 
 
 @dataclass(frozen=True)

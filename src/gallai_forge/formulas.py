@@ -69,13 +69,8 @@ def size_three_divergence(s: int, t: int, value: int) -> str | None:
     )
 
 
-def cycle_ramsey(m: int, n: int) -> int:
-    """Two-color Ramsey number of a cycle pair (shorter length m, longer n).
-
-    Odd m: 2n - 1.  Both even: n - 1 + m/2.  m even with n odd: the larger
-    of n - 1 + m/2 and 2m - 1.  The classical exceptions (3,3) and (4,4)
-    are outside the formula's domain.
-    """
+def _cycle_branch(m: int, n: int) -> tuple[str, int]:
+    """The branch of the cycle formula that (m, n) takes, and its value."""
     if m < 3:
         raise ValueError(f"need m >= 3, got {m}")
     if m > n:
@@ -83,10 +78,20 @@ def cycle_ramsey(m: int, n: int) -> int:
     if (m, n) in ((3, 3), (4, 4)):
         raise ValueError(f"the pair ({m}, {n}) is a classical exception outside the formula")
     if m % 2 == 1:
-        return 2 * n - 1
+        return "shorter-odd", 2 * n - 1
     if n % 2 == 0:
-        return n - 1 + m // 2
-    return max(n - 1 + m // 2, 2 * m - 1)
+        return "both-even", n - 1 + m // 2
+    return "shorter-even-longer-odd", max(n - 1 + m // 2, 2 * m - 1)
+
+
+def cycle_ramsey(m: int, n: int) -> int:
+    """Two-color Ramsey number of a cycle pair (shorter length m, longer n).
+
+    Odd m: 2n - 1.  Both even: n - 1 + m/2.  m even with n odd: the larger
+    of n - 1 + m/2 and 2m - 1.  The classical exceptions (3,3) and (4,4)
+    are outside the formula's domain.
+    """
+    return _cycle_branch(m, n)[1]
 
 
 def even_cycle_gr_bounds(n: int, k: int) -> tuple[int, int]:
@@ -123,13 +128,7 @@ def describe_ramsey(family: str, s: int, t: int) -> dict:
 
 
 def describe_cycle(m: int, n: int) -> dict:
-    value = cycle_ramsey(m, n)
-    if m % 2 == 1:
-        branch = "shorter-odd"
-    elif n % 2 == 0:
-        branch = "both-even"
-    else:
-        branch = "shorter-even-longer-odd"
+    branch, value = _cycle_branch(m, n)
     return {"value": value, "branch": branch}
 
 

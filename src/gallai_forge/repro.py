@@ -24,7 +24,7 @@ from typing import Callable
 from .cli import _write_text, main as cli_main
 from .constructions import lower_bound_construction, random_gallai
 from .decompose import gallai_partition, validate_partition
-from .formulas import cycle_ramsey, even_cycle_gr_bounds, gr_value, linear_claim
+from .formulas import cycle_ramsey, even_cycle_gr_bounds, gr_value
 from .graphs import ColoredCompleteGraph, encode
 from .patterns import (
     PATTERN_KINDS,
@@ -53,22 +53,32 @@ def _run_cli(argv: list[str]) -> tuple[int, dict]:
     return code, json.loads(out.getvalue())
 
 
-def _c1_exact_t4(ctx: ReproContext):
+def _certify_pairs(pairs, jobs: int, note: str):
+    """Certify each (family, s, t) through ``certify_claim`` and re-check its
+    witness against both targets.  A pass carries one ``note`` per pair,
+    formatted with the family, s, t, the value and the exhausted order's nodes."""
     notes = []
-    for family in ("star-plus", "path-plus"):
-        target = Pattern(family, 4)
-        cert = ramsey_number(target, target, n_max=9, jobs=ctx.jobs)
-        if cert.value != 7:
-            return "fail", f"{family}: certified value {cert.value}, wanted 7"
-        if cert.witness.n != 6:
-            return "fail", f"{family}: witness order {cert.witness.n}, wanted 6"
-        for color in (1, 2):
-            if contains_pattern(cert.witness, target, color) is not None:
-                return "fail", f"{family}: witness holds the target in color {color}"
+    for family, s, t in pairs:
+        report = certify_claim(family, s, t, jobs=jobs)
+        cert = report.certificate
+        pair = f"({family} {s}, {family} {t})"
+        if not report.matches:
+            return "fail", f"{pair}: value {report.value}, wanted {report.expected}"
+        if cert.witness.n != report.value - 1:
+            return "fail", f"{pair}: witness order {cert.witness.n}, wanted {report.value - 1}"
+        for color, size in ((1, s), (2, t)):
+            if contains_pattern(cert.witness, Pattern(family, size), color) is not None:
+                return "fail", f"{pair}: witness holds the target in color {color}"
         if cert.exhausted_outcome.verdict != "exhausted":
-            return "fail", f"{family}: order 7 was not exhausted"
-        notes.append(f"{family} exhausted order 7 in {cert.exhausted_outcome.nodes} nodes")
+            return "fail", f"{pair}: order {report.value} was not exhausted"
+        nodes = cert.exhausted_outcome.nodes
+        notes.append(note.format(family=family, s=s, t=t, value=report.value, nodes=nodes))
     return "pass", "; ".join(notes)
+
+
+def _c1_exact_t4(ctx: ReproContext):
+    pairs = [("star-plus", 4, 4), ("path-plus", 4, 4)]
+    return _certify_pairs(pairs, ctx.jobs, "{family} exhausted order {value} in {nodes} nodes")
 
 
 def _c2_triangle(ctx: ReproContext):
@@ -99,22 +109,14 @@ def _c3_stretch(ctx: ReproContext):
     if not ctx.stretch:
         return "skip", "run with --stretch to certify the size-5 and size-6 values and (path-plus 7, path-plus 7)"
     cases = [
-        (Pattern.star_plus(5), Pattern.star_plus(5)),
-        (Pattern.path_plus(5), Pattern.path_plus(5)),
-        (Pattern.path_plus(4), Pattern.path_plus(5)),
-        (Pattern.star_plus(6), Pattern.star_plus(6)),
-        (Pattern.path_plus(6), Pattern.path_plus(6)),
-        (Pattern.path_plus(7), Pattern.path_plus(7)),
+        ("star-plus", 5, 5),
+        ("path-plus", 5, 5),
+        ("path-plus", 4, 5),
+        ("star-plus", 6, 6),
+        ("path-plus", 6, 6),
+        ("path-plus", 7, 7),
     ]
-    notes = []
-    for first, second in cases:
-        expected, cap = linear_claim(first.size, second.size)
-        cert = ramsey_number(first, second, n_max=cap, jobs=ctx.jobs)
-        pair = f"({first.kind} {first.size}, {second.kind} {second.size})"
-        if cert.value != expected:
-            return "fail", f"{pair}: value {cert.value}, wanted {expected}"
-        notes.append(f"{pair} = {expected} [{cert.exhausted_outcome.nodes} nodes]")
-    return "pass", "; ".join(notes)
+    return _certify_pairs(cases, ctx.jobs, "({family} {s}, {family} {t}) = {value} [{nodes} nodes]")
 
 
 def _c4_constructions(ctx: ReproContext):
@@ -222,27 +224,24 @@ def _c6_equivalence(ctx: ReproContext):
     return "pass", f"{audited} colorings audited against the definitional oracle; zero disagreements"
 
 
-def _c7_decomposition(ctx: ReproContext):
-    rng = random.Random(1106)
-    samples = 60 if ctx.quick else 500
-    done = 0
+def _c7_graphs(samples: int, rng: random.Random):
+    """(label, coloring) for the seeded random samples, then the constructions."""
     for i in range(samples):
         n = rng.randint(2, 200)
         k = rng.randint(1, 6)
-        graph = random_gallai(n, k, rng.randrange(2**32))
-        partition = gallai_partition(graph)
-        ok, why = validate_partition(graph, partition)
-        if not ok:
-            return "fail", f"sample {i} (n={n}, k={k}): {why}"
-        done += 1
+        yield f"sample {i} (n={n}, k={k})", random_gallai(n, k, rng.randrange(2**32))
     for t in (4, 5, 6):
         for k in range(1, 6):
-            graph = lower_bound_construction(t, k)
-            partition = gallai_partition(graph)
-            ok, why = validate_partition(graph, partition)
-            if not ok:
-                return "fail", f"construction t={t} k={k}: {why}"
-            done += 1
+            yield f"construction t={t} k={k}", lower_bound_construction(t, k)
+
+
+def _c7_decomposition(ctx: ReproContext):
+    done = 0
+    for label, graph in _c7_graphs(60 if ctx.quick else 500, random.Random(1106)):
+        ok, why = validate_partition(graph, gallai_partition(graph))
+        if not ok:
+            return "fail", f"{label}: {why}"
+        done += 1
     return "pass", f"{done} partitions extracted and validated with zero failures"
 
 

@@ -6,15 +6,15 @@ A branch is cut as soon as the partial coloring would contain the first
 target in color 1 or the second in color 2.  Each color is tested on the next
 edge before the edge is placed: only copies through that edge can be new, so
 each node tests only those instead of scanning the whole coloring, and a
-pruned color never touches the coloring.  Triangles and star-plus get bitmask
-tests.  Every other target anchors the new edge on one ordered pattern edge
-(arc) per orbit of the target's automorphism group and walks the remaining
-roles from there: one arc for cycles and cliques, two for stars, 2t - 3 for
-path-plus on t vertices.  Every target is connected, so no arc is walked
-unless the new edge's component in that color, the union of its endpoints'
-components, has at least as many vertices as the target; an arc is walked
-only when both endpoints of the new edge, counting it, have at least the
-pattern degree of the roles placed on them.
+pruned color never touches the coloring.  Triangles, of any kind, and
+star-plus get bitmask tests.  Every other target anchors the new edge on one
+ordered pattern edge (arc) per orbit of the target's automorphism group and
+walks the remaining roles from there: one arc for cycles and cliques, two for
+stars, 2t - 3 for path-plus on t vertices.  Every target is connected, so no
+arc is walked unless the new edge's component in that color, the union of its
+endpoints' components, has at least as many vertices as the target; an arc
+is walked only when both endpoints of the new edge, counting it, have at
+least the pattern degree of the roles placed on them.
 When both targets coincide the first edge is fixed to color 1 (color swap).
 
 Relabeling the vertices of a valid coloring gives a valid coloring, so the
@@ -33,14 +33,14 @@ A time budget's clock is read about every 10 ms of search: the stride between
 reads adapts to the observed node rate, from 1 to 8192 nodes, since a node
 on a dense prefix can cost milliseconds.  The node cap is exact.
 
-One job walks the whole tree in one DFS, which stops at the first witness.
-Parallel runs split the tree at a fixed depth into prefix subtrees and
-process them in prefix order, wave by wave.  The prefix phase records the
-counters at which it reaches each prefix, and the subtrees' counters are
-folded in prefix order onto those marks, so verdict, witness, node and prune
-counters, and the node cap's stop match the single-job DFS exactly.
-``ramsey_number`` starts at most one worker pool for all of its orders, at
-the first that splits into two or more subtrees.
+One job walks the whole tree, a single empty leaf on one vertex, in one DFS
+that stops at the first witness.  Parallel runs split the tree at a fixed
+depth into prefix subtrees and run them wave by wave, a lone subtree in this
+process.  The prefix phase records the counters at which it reaches each
+prefix, and one loop folds the subtrees' counters onto those marks in prefix
+order, so verdict, witness, node and prune counters, and the node cap's stop
+match the single-job DFS exactly.  ``ramsey_number`` starts at most one
+worker pool for all of its orders, at the first wave of two or more subtrees.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ import sys
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import chain
 
 from .formulas import _check_family, linear_claim, size_three_divergence
 from .graphs import ColoredCompleteGraph
@@ -134,8 +135,9 @@ def _make_checker(p: Pattern, adj: list, deg: list):
     not hold {u, v} yet, so the search tests each edge before placing it.
     The answer does not assume that the rows are free of ``p``."""
     kind, size = p.kind, p.size
-    if size == 3 and kind in ("clique", "star-plus", "path-plus"):
-        # all three degenerate to the triangle
+    if size == 3 and len(p.edges()) == 3:
+        # the triangle: what the clique, cycle, star-plus and path-plus on
+        # three vertices all are
 
         def hit_triangle(u: int, v: int) -> bool:
             return (adj[u] & adj[v]) != 0
@@ -369,9 +371,9 @@ def _subtree_task(args):
 
 
 class _LazyPool:
-    """Worker processes for the subtrees, started at the first ``map`` and
-    stopped on exit, so ``ramsey_number`` starts at most one pool for all
-    of its orders and small orders start none."""
+    """Worker processes for the subtrees, started at the first ``map`` of two
+    or more tasks and stopped on exit, so ``ramsey_number`` starts at most
+    one pool for all of its orders and small orders start none."""
 
     def __init__(self, jobs: int):
         self.jobs = jobs
@@ -385,6 +387,8 @@ class _LazyPool:
             self.executor.shutdown()
 
     def map(self, fn, tasks):
+        if len(tasks) == 1:  # a worker would only add its round trip
+            return map(fn, tasks)
         if self.executor is None:
             # imported here: only pooled runs pay for multiprocessing
             from concurrent.futures import ProcessPoolExecutor
@@ -422,14 +426,9 @@ def search_two_color(
         raise ValueError(f"need jobs >= 1, got {jobs}")
     _check_target(p_red)
     _check_target(p_blue)
-    cap = budget.max_nodes if budget is not None and budget.max_nodes is not None else float("inf")
-    deadline = (
-        time.monotonic() + budget.max_time if budget is not None and budget.max_time is not None else None
-    )
-    total = n * (n - 1) // 2
-    if total == 0:
-        witness = ColoredCompleteGraph(1, 2, [])
-        return SearchOutcome("witness", witness, 0, 0)
+    budget = budget or SearchBudget()
+    cap = budget.max_nodes if budget.max_nodes is not None else float("inf")
+    deadline = time.monotonic() + budget.max_time if budget.max_time is not None else None
 
     if jobs == 1:
         # one DFS over the whole tree: the prefix phase at depth 0
@@ -437,7 +436,7 @@ def search_two_color(
     else:
         # the pool gets the subtrees below the first SPLIT_DEPTH edges; this
         # phase, at most 126 nodes, runs uncapped, and the fold judges the cap
-        depth = min(SPLIT_DEPTH, total - 1)
+        depth = min(SPLIT_DEPTH, n * (n - 1) // 2)
         prefixes, marks, prefix_nodes, prefix_prunes, truncated = _explore(
             n, p_red, p_blue, (), depth, False, float("inf"), deadline, reference
         )
@@ -446,28 +445,29 @@ def search_two_color(
 
     # The sequential DFS reaches prefix i after marks[i] prefix nodes and
     # the subtrees before it, so folding the subtrees in prefix order gives
-    # its counters, and its node cap trips at the same subtree.  The tasks
-    # of a wave get at least their remaining cap.
+    # its counters, and its node cap trips at the same subtree.  A wave's
+    # tasks are built only once the wave before it is folded, so each gets
+    # at least its remaining cap.
     found = None
     sub_nodes = sub_prunes = 0  # over the subtrees folded so far
     with nullcontext(_pool) if _pool is not None else _LazyPool(jobs) as pool:
-        for wave_start in range(0, len(prefixes), jobs):
-            wave = range(wave_start, min(wave_start + jobs, len(prefixes)))
-            tasks = [(n, p_red, p_blue, prefixes[i], cap - marks[i][0] - sub_nodes, deadline, reference) for i in wave]
-            for i, (found, nodes, prunes, truncated) in zip(
-                wave, (pool.map if len(wave) > 1 else map)(_subtree_task, tasks)
-            ):
-                sub_nodes += nodes
-                sub_prunes += prunes
-                if marks[i][0] + sub_nodes > cap:
-                    raise BudgetExhausted("nodes", cap)
-                if truncated == "time":
-                    raise BudgetExhausted("time", marks[i][0] + sub_nodes)
-                if found is not None:
-                    # the DFS stops here, before the rest of the prefix phase
-                    prefix_nodes, prefix_prunes = marks[i]
-                    break
+        waves = (
+            pool.map(
+                _subtree_task,
+                [(n, p_red, p_blue, prefixes[i], cap - marks[i][0] - sub_nodes, deadline, reference) for i in wave],
+            )
+            for wave in (range(start, min(start + jobs, len(prefixes))) for start in range(0, len(prefixes), jobs))
+        )
+        for mark, (found, nodes, prunes, truncated) in zip(marks, chain.from_iterable(waves)):
+            sub_nodes += nodes
+            sub_prunes += prunes
+            if mark[0] + sub_nodes > cap:
+                raise BudgetExhausted("nodes", cap)
+            if truncated == "time":
+                raise BudgetExhausted("time", mark[0] + sub_nodes)
             if found is not None:
+                # the DFS stops here, before the rest of the prefix phase
+                prefix_nodes, prefix_prunes = mark
                 break
     nodes, prunes = prefix_nodes + sub_nodes, prefix_prunes + sub_prunes
     if found is None:

@@ -12,6 +12,17 @@ from gallai_forge.repro import CRITERIA, ReproContext, run_criterion
 from conftest import ACCEPTANCE_LINES
 
 
+# the detail ``repro`` prints on stdout for the certification criteria
+DETAILS = {
+    1: "star-plus exhausted order 7 in 126 nodes; path-plus exhausted order 7 in 126 nodes",
+    3: (
+        "(star-plus 5, star-plus 5) = 9 [1072 nodes]; (path-plus 5, path-plus 5) = 9 [547 nodes]; "
+        "(path-plus 4, path-plus 5) = 9 [242 nodes]; (star-plus 6, star-plus 6) = 11 [57968 nodes]; "
+        "(path-plus 6, path-plus 6) = 11 [2438 nodes]; (path-plus 7, path-plus 7) = 13 [28817 nodes]"
+    ),
+}
+
+
 def _run(number: int, tmp_path) -> None:
     criterion = CRITERIA[number - 1]
     ctx = ReproContext(quick=False, stretch=True, jobs=4, out_dir=str(tmp_path))
@@ -22,6 +33,8 @@ def _run(number: int, tmp_path) -> None:
     ACCEPTANCE_LINES.append(line)
     print(line)
     assert ok, line
+    if number in DETAILS:
+        assert row["detail"] == DETAILS[number]
 
 
 def test_criterion_1_exact_certification_t4(tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -62,6 +63,10 @@ def test_blow_up_multiplies_order():
     # cross edges follow the two-colored pentagon pattern
     assert g.color_of(0, 3) == 2  # copies 0-1 adjacent
     assert g.color_of(0, 6) == 3  # copies 0-2 non-adjacent
+    # the pentagon's own checks: two distinct 1-based colors
+    for c_a, c_b in ((2, 2), (0, 3)):
+        with pytest.raises(ValueError):
+            blow_up_5(base, c_a, c_b)
 
 
 def test_blow_up_preserves_rainbow_freeness():
@@ -71,6 +76,34 @@ def test_blow_up_preserves_rainbow_freeness():
         assert find_rainbow_triangle(child) is None
         g = blow_up_5(child, child.k + 1, child.k + 2)
         assert find_rainbow_triangle(g) is None
+
+
+def _sha256(graph):
+    return hashlib.sha256(encode(graph).encode("ascii")).hexdigest()
+
+
+# the sha256 of the GCG bytes of lower_bound_construction(t, k)
+CONSTRUCTION_SHA256 = {
+    (4, 1): "ef0e1234212de8acdbb1b24fffaec0567a286ee8113ad69f015938401952d7e3",
+    (4, 2): "52b191a7c883e1202e5c2b1fec05e0ee9a1745042ac8cb1327c7b2bd80b5f3de",
+    (4, 3): "cdbc3013a73b8ef9aeca05ee931e3a01d84b2ae7d43096461c23be6a75fdb2b7",
+    (4, 4): "d7f8141daa2f69ed4353895eb26d42224b6b7cc89234395f7661cf53f68ca3dd",
+    (4, 5): "4dd6842c542f766892489b7ccf5c78a10c8cee27c6639c969caade25654c8155",
+    (4, 6): "b4790d3a1922d7bdbd00f6ffcb2c2d7c8d43020e40c919916b75be71284baac4",
+    (4, 7): "b794f8cff622c09c5a158d1f0dba40b2bc175efc962f495640fb2a20e816de9a",
+    (5, 5): "f89c2cf685e5ed6f7e520b3ae874300157f1a7f67ae10e431ad5ac91b666fc45",
+    (6, 4): "8bb3ee6d01350e9fce3fdf23fdc3f329fb9546c1a0ee3f9c99414f540a105b65",
+}
+
+
+@pytest.mark.parametrize("t,k", list(CONSTRUCTION_SHA256))
+def test_lower_bound_bytes_are_pinned(t, k):
+    assert _sha256(lower_bound_construction(t, k)) == CONSTRUCTION_SHA256[t, k]
+
+
+def test_blow_up_bytes_are_pinned():
+    child = random_gallai(7, 3, 2024)
+    assert _sha256(blow_up_5(child, 4, 5)) == "8bca6b49a6714c75b14ff2a910525a741a651b38aae95c4151e2f0833c292fb5"
 
 
 def test_recipes_build_and_describe():

@@ -196,9 +196,12 @@ PINNED_PAIRS = {
 }
 
 
-def _assert_pinned(name, witness_counts, exhausted_counts, reference):
+def _assert_pinned(name, witness_counts, exhausted_counts, reference, jobs=1, targets=None):
+    # ``targets`` replaces the pair's own targets with ones that must search alike
     pa, pb, value = PINNED_PAIRS[name]
-    cert = ramsey_number(pa, pb, n_max=value, reference=reference)
+    if targets is not None:
+        pa, pb = targets
+    cert = ramsey_number(pa, pb, n_max=value, jobs=jobs, reference=reference)
     assert cert.value == value
     assert (cert.witness_outcome.nodes, cert.witness_outcome.prunes) == witness_counts
     assert (cert.exhausted_outcome.nodes, cert.exhausted_outcome.prunes) == exhausted_counts
@@ -244,6 +247,20 @@ def test_bitmask_checker_counters_are_pinned(name, witness_counts, exhausted_cou
 ])
 def test_symmetry_pruned_counters_are_pinned(name, witness_counts, exhausted_counts):
     _assert_pinned(name, witness_counts, exhausted_counts, reference=False)
+
+
+# the clique, cycle, star-plus and path-plus on three vertices are all the
+# triangle, so each searches as K3-K3 does, in both modes and at any job count
+@pytest.mark.parametrize("kind", ["clique", "cycle", "star-plus", "path-plus"])
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "reference, witness_counts, exhausted_counts",
+    [(False, (33, 12), (78, 32)), (True, (47, 21), (325, 163))],
+    ids=["default", "reference"],
+)
+def test_size_three_kinds_search_as_the_triangle(kind, jobs, reference, witness_counts, exhausted_counts):
+    target = Pattern(kind, 3)
+    _assert_pinned("K3-K3", witness_counts, exhausted_counts, reference, jobs=jobs, targets=(target, target))
 
 
 # every kind on 2 to 5 vertices, where the kind allows it
@@ -361,15 +378,21 @@ def test_split_depth_does_not_change_answers(monkeypatch):
     # every split and worker count folds onto the one DFS's counters, at
     # witness orders too (at depth 6 and 15 the witness lies below a later
     # prefix than the first), for a pair the triangle checker serves and one
-    # the generic checker serves: (pair, order, verdict, nodes, prunes)
-    for name, n, verdict, nodes, prunes in [
-        ("K3-K3", 5, "witness", 33, 12),
-        ("K3-K3", 6, "exhausted", 78, 32),
-        ("P4-P5", 8, "witness", 59, 13),
-        ("P4-P5", 9, "exhausted", 242, 89),
+    # the generic checker serves: (pair, order, verdict, nodes, prunes, the
+    # witness's sha256).  Orders 1 to 4 have at most 6 edges, so the prefix
+    # phase reaches every leaf at the larger depths, and order 1 has none.
+    for name, n, verdict, nodes, prunes, sha in [
+        ("K3-K3", 1, "witness", 0, 0, "e28dd495befc0be2009b7a63105fb50ace7ee7b7d7317a8453a859139cc60a7a"),
+        ("K3-K3", 2, "witness", 1, 0, "4c0d784ed1533514ed377d5b4b4b4d099c945df3136a53b5ff32c45a49663d6f"),
+        ("K3-K3", 3, "witness", 4, 1, "bc8e9d54e1af22f5c71f6036f05854a7a11a27c4a3ba200491f00eb8cfcf579e"),
+        ("K3-K3", 4, "witness", 11, 3, "0f17c0abd4cca077904ac51a21e59639260903963677c445ab74c22ae03e2b2b"),
+        ("K3-K3", 5, "witness", 33, 12, WITNESS_SHA256["K3-K3"]),
+        ("K3-K3", 6, "exhausted", 78, 32, None),
+        ("P4-P5", 4, "witness", 9, 3, "b7d9e70873c77c8b8e5440dd47be36c48e396ce99abf497ea4a2b82f43c2a3af"),
+        ("P4-P5", 8, "witness", 59, 13, WITNESS_SHA256["P4-P5"]),
+        ("P4-P5", 9, "exhausted", 242, 89, None),
     ]:
         pa, pb, _ = PINNED_PAIRS[name]
-        sha = WITNESS_SHA256[name] if verdict == "witness" else None
         for depth in (1, 3, 6, 15):
             monkeypatch.setattr(search, "SPLIT_DEPTH", depth)
             for jobs in (1, 2):
