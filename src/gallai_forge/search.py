@@ -18,16 +18,17 @@ least the pattern degree of the roles placed on them.
 When both targets coincide the first edge is fixed to color 1 (color swap).
 
 Relabeling the vertices of a valid coloring gives a valid coloring, so the
-search breaks that symmetry too, with lex-leader predicates for the swaps of
-adjacent vertices (Crawford, Ginsberg, Luks and Roy, KR 1996): column v - 1
-of the coloring stays lexicographically at most column v over rows
-0..v - 2.  Swapping v - 1 and v changes the coloring first at (u, v - 1),
-for the least row u where the two columns differ, so a coloring that breaks
-the rule is not the least of its class; the least one keeps every such rule
-and the color-swap rule, so each class is still met and verdicts stand.
-The plain DFS returns the least valid coloring, which is least in its class
-and never cut, so the witness is the same byte for byte.  ``reference=True``
-runs the plain DFS, the oracle for this rule.
+search breaks that symmetry too, with a lex-leader predicate for the swap
+of every two vertices i < j (Crawford, Ginsberg, Luks and Roy, KR 1996):
+row i of the color matrix, outside entries i and j, stays lexicographically
+at most row j, read in ascending column order.  Swapping i and j changes
+the edge sequence first at the entries {x, i} and {x, j}, x not i or j, in
+ascending x, so the rule holds exactly when the coloring is no greater than
+its image under the swap.  The least coloring of each class keeps every
+such rule and the color-swap rule, so each class is still met and verdicts
+stand.  The plain DFS returns the least valid coloring, which is least in
+its class and never cut, so the witness is the same byte for byte.
+``reference=True`` runs the plain DFS, the oracle for this rule.
 
 A time budget's clock is read about every 10 ms of search: the stride between
 reads adapts to the observed node rate, from 1 to 8192 nodes, since a node
@@ -229,15 +230,18 @@ def _explore(n, p_red, p_blue, prefix, depth_stop, first_only, cap, deadline, re
     Each color is tested on an edge before it is placed, so a pruned node
     leaves the coloring untouched.
 
-    Unless ``reference``, the adjacent-column rule holds: while columns
-    v - 1 and v agree on rows 0..u - 1 ("tied"), edge (u, v) starts at the
-    color of its twin (u, v - 1) instead of color 1.  The colors below are
-    skipped, not tried, so they count as neither nodes nor prunes.  Such a
-    color makes the swap of v - 1 and v lower the coloring at (u, v - 1), its
-    first changed edge, so no completion is least in its class; the least
-    valid coloring, the plain DFS's witness, is least in its class and is
-    still found first.  ``tied`` is rebuilt while the prefix is replayed, so
-    counters do not depend on where the tree is split.
+    Unless ``reference``, the row rule holds: for i < j, row i outside
+    entries i and j is lexicographically at most row j.  Edge (u, v) is
+    entry u of row v and entry v of row u, so it decides the rows tied with
+    row v at column u and those tied with row u at column v; where color 1
+    would make such a row greater than its partner, the edge starts at
+    color 2.  Color 1 there would make the swap of the two rows' vertices
+    lower the coloring at its first changed edge, so no completion is least
+    in its class; it is skipped, not tried, and counts as neither node nor
+    prune.  The least valid coloring, the plain DFS's witness, is least in
+    its class and is still found first.  ``tie`` is rebuilt while the
+    prefix is replayed, so counters do not depend on where the tree is
+    split.
 
     Returns (results, marks, nodes, prunes, truncated) where results holds
     complete assignments of the explored range (all of them, or just the
@@ -250,31 +254,39 @@ def _explore(n, p_red, p_blue, prefix, depth_stop, first_only, cap, deadline, re
     deg = (None, [0] * n, [0] * n)
     hit = (None, _make_checker(p_red, adj[1], deg[1]), _make_checker(p_blue, adj[2], deg[2]))
     col = [0] * len(edges)
-    # twin[e]: the index of (u, v - 1) for e = (u, v) with u <= v - 2, else -1;
-    # one spare entry for level depth_stop
-    twin = [-1] * (len(edges) + 1)
-    if not reference:
-        for v in range(2, n):
-            for u in range(v - 1):
-                twin[v * (v - 1) // 2 + u] = (v - 1) * (v - 2) // 2 + u
-    tied = [False] * len(edges)
+    # tie[j]: the i < j whose rows still agree with row j, outside entries i
+    # and j, on the edges placed so far (all of them before column j);
+    # saved[e]: (tie[u], tie[v]) from before edge e = (u, v) was placed
+    tie = [(1 << j) - 1 for j in range(n)]
+    saved = [None] * len(edges)
+    blue = adj[2]
 
     def floor(e):
-        # the first color level e may take, once edges 0..e - 1 are placed
-        t = twin[e]
-        if t < 0:
+        # the first color level e may take, once edges 0..e - 1 are placed:
+        # color 1 at (u, v) would let a row i tied with row v exceed it at
+        # column u, or a row i tied with row u exceed it at column v; tie[v]
+        # holds u too, but blue[u] lacks bit u, the entry that pair skips
+        if reference or e == depth_stop:
             return 1
-        tie = tied[e] = edges[e][0] == 0 or (tied[e - 1] and col[e - 1] == col[t - 1])
-        return col[t] if tie else 1
+        u, v, _, _ = edges[e]
+        return 2 if (tie[v] & blue[u]) or (tie[u] & blue[v]) else 1
 
-    for e, c in enumerate(prefix):
-        floor(e)
+    def place(e, c):
         u, v, bu, bv = edges[e]
         col[e] = c
-        adj[c][u] |= bv
-        adj[c][v] |= bu
+        a = adj[c]
+        a[u] |= bv
+        a[v] |= bu
         deg[c][u] += 1
         deg[c][v] += 1
+        if not reference:
+            # rows that differ at the new entry are no longer tied
+            saved[e] = tie[u], tie[v]
+            tie[v] &= a[u] | bu
+            tie[u] &= a[v]
+
+    for e, c in enumerate(prefix):
+        place(e, c)
     base = len(prefix)
     # the last color tried per level: when both targets coincide the first
     # edge is fixed to color 1 (color swap)
@@ -332,15 +344,9 @@ def _explore(n, p_red, p_blue, prefix, depth_stop, first_only, cap, deadline, re
                 break
             if c <= last:
                 nxt[level] = c + 1
-                col[level] = c
-                a = adj[c]
-                d = deg[c]
-                a[u] |= bv
-                a[v] |= bu
-                d[u] += 1
-                d[v] += 1
+                place(level, c)
                 level += 1
-                nxt[level] = 1 if twin[level] < 0 else floor(level)
+                nxt[level] = floor(level)
                 continue
         else:
             results.append(tuple(col[:depth_stop]))
@@ -359,6 +365,8 @@ def _explore(n, p_red, p_blue, prefix, depth_stop, first_only, cap, deadline, re
         a[v] ^= bu
         d[u] -= 1
         d[v] -= 1
+        if not reference:
+            tie[u], tie[v] = saved[level]
     return results, marks, nodes, prunes, truncated
 
 
@@ -417,7 +425,7 @@ def search_two_color(
     full detectors) or an exhausted verdict; raises BudgetExhausted when the
     budget runs out first.  Verdict, witness, counters and budget stops do
     not depend on ``jobs``.  ``reference`` runs the plain DFS, without the
-    adjacent-column rule: same verdict and witness, larger counters.
+    row rule: same verdict and witness, larger counters.
     ``_pool`` is the caller's worker pool, which ``ramsey_number`` shares
     across orders; without it a pooled run starts its own."""
     if n < 1:

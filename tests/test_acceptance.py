@@ -14,11 +14,11 @@ from conftest import ACCEPTANCE_LINES
 
 # the detail ``repro`` prints on stdout for the certification criteria
 DETAILS = {
-    1: "star-plus exhausted order 7 in 126 nodes; path-plus exhausted order 7 in 126 nodes",
+    1: "star-plus exhausted order 7 in 95 nodes; path-plus exhausted order 7 in 95 nodes",
     3: (
-        "(star-plus 5, star-plus 5) = 9 [1072 nodes]; (path-plus 5, path-plus 5) = 9 [547 nodes]; "
-        "(path-plus 4, path-plus 5) = 9 [242 nodes]; (star-plus 6, star-plus 6) = 11 [57968 nodes]; "
-        "(path-plus 6, path-plus 6) = 11 [2438 nodes]; (path-plus 7, path-plus 7) = 13 [28817 nodes]"
+        "(star-plus 5, star-plus 5) = 9 [513 nodes]; (path-plus 5, path-plus 5) = 9 [274 nodes]; "
+        "(path-plus 4, path-plus 5) = 9 [156 nodes]; (star-plus 6, star-plus 6) = 11 [15651 nodes]; "
+        "(path-plus 6, path-plus 6) = 11 [776 nodes]; (path-plus 7, path-plus 7) = 13 [4477 nodes]"
     ),
 }
 

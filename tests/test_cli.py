@@ -195,7 +195,7 @@ def test_ramsey_match(capsys, tmp_path):
     result = report["result"]
     assert result["value"] == 7 and result["match"] is True
     assert result["divergence"] is None
-    assert result["exhaustion"]["nodes"] == 126
+    assert result["exhaustion"]["nodes"] == 95
     witness = decode(open(result["witness_path"]).read())
     assert witness.n == 6
     assert "searched orders" in err
@@ -284,7 +284,7 @@ def test_ramsey_checks_out_dir_before_searching(capsys, tmp_path):
 RAMSEY_KEYS = {"value", "expected", "match", "witness_path", "witness_order", "exhaustion", "divergence"}
 
 
-# pin one exit-0 case: size 4 certifies with 126 nodes at order 7
+# pin one exit-0 case: size 4 certifies with 95 nodes at order 7
 @example(family="star-plus", s=None, t=4, n_max=None, max_nodes=1000)
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(

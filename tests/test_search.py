@@ -234,16 +234,16 @@ def test_bitmask_checker_counters_are_pinned(name, witness_counts, exhausted_cou
     _assert_pinned(name, witness_counts, exhausted_counts, reference=True)
 
 
-# the default search's counters on the same pairs: the adjacent-column rule
-# shrinks every tree and leaves every witness as it was
+# the default search's counters on the same pairs: the row rule shrinks
+# every tree and leaves every witness as it was
 @_pins([
-    ("C5-C5", (144, 51), (2522, 923)),
-    ("P5-P5", (32, 4), (547, 205)),
-    ("P4-P5", (59, 13), (242, 89)),
-    ("K3-K3", (33, 12), (78, 32)),
-    ("S4-S4", (18, 3), (126, 48)),
-    ("S5-S5", (32, 4), (1072, 396)),
-    ("S4-S6", (100, 20), (3728, 1410)),
+    ("C5-C5", (107, 28), (769, 229)),
+    ("P5-P5", (29, 1), (274, 89)),
+    ("P4-P5", (53, 7), (156, 50)),
+    ("K3-K3", (27, 7), (51, 18)),
+    ("S4-S4", (16, 1), (95, 31)),
+    ("S5-S5", (29, 1), (513, 163)),
+    ("S4-S6", (86, 10), (1509, 467)),
 ])
 def test_symmetry_pruned_counters_are_pinned(name, witness_counts, exhausted_counts):
     _assert_pinned(name, witness_counts, exhausted_counts, reference=False)
@@ -255,7 +255,7 @@ def test_symmetry_pruned_counters_are_pinned(name, witness_counts, exhausted_cou
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize(
     "reference, witness_counts, exhausted_counts",
-    [(False, (33, 12), (78, 32)), (True, (47, 21), (325, 163))],
+    [(False, (27, 7), (51, 18)), (True, (47, 21), (325, 163))],
     ids=["default", "reference"],
 )
 def test_size_three_kinds_search_as_the_triangle(kind, jobs, reference, witness_counts, exhausted_counts):
@@ -285,25 +285,69 @@ def test_symmetry_pruning_keeps_the_plain_dfs_answers(pa, pb, n):
     assert out.nodes <= ref.nodes and out.prunes <= ref.prunes
 
 
-def _columns_ascend(n, colors):
-    # column v - 1 lexicographically at most column v over rows 0..v - 2
-    col = dict(zip([(u, v) for v in range(1, n) for u in range(v)], colors))
-    return all([col[u, v - 1] for u in range(v - 1)] <= [col[u, v] for u in range(v - 1)] for v in range(2, n))
+def _rows_ascend(n, colors):
+    # for all i < j, row i lexicographically at most row j outside entries i
+    # and j, read in ascending column order
+    m = [[0] * n for _ in range(n)]
+    for (u, v), c in zip([(u, v) for v in range(1, n) for u in range(v)], colors):
+        m[u][v] = m[v][u] = c
+    return all(
+        [m[i][x] for x in range(n) if x not in (i, j)] <= [m[j][x] for x in range(n) if x not in (i, j)]
+        for j in range(n)
+        for i in range(j)
+    )
+
+
+def _every_leaf(n, pa, pb, reference):
+    return search._explore(n, pa, pb, (), n * (n - 1) // 2, False, float("inf"), None, reference)[0]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(pa=TARGETS, pb=TARGETS, n=st.integers(2, 6))
 def test_symmetry_pruning_keeps_exactly_the_ascending_colorings(pa, pb, n):
     # every valid coloring, in search order: the rule drops those whose
-    # columns do not ascend and no other
-    def every_leaf(reference):
-        return search._explore(n, pa, pb, (), n * (n - 1) // 2, False, float("inf"), None, reference)[0]
+    # rows do not ascend and no other
+    assert _every_leaf(n, pa, pb, False) == [x for x in _every_leaf(n, pa, pb, True) if _rows_ascend(n, x)]
 
-    assert every_leaf(False) == [x for x in every_leaf(True) if _columns_ascend(n, x)]
+
+def _orbit(n, colors, swap):
+    # the coloring under every relabeling of the vertices, and under the
+    # color swap too when ``swap``
+    order = [(u, v) for v in range(1, n) for u in range(v)]
+    col = dict(zip(order, colors))
+    orbit = set()
+    for perm in itertools.permutations(range(n)):
+        image = tuple(col[min(perm[u], perm[v]), max(perm[u], perm[v])] for u, v in order)
+        orbit.add(image)
+        if swap:
+            orbit.add(tuple(3 - c for c in image))
+    return orbit
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(pa=TARGETS, pb=TARGETS, n=st.integers(2, 5))
+def test_symmetry_pruning_keeps_the_least_of_every_class(pa, pb, n):
+    # brute force over the symmetry group, sharing no code with the rule:
+    # each class of valid colorings keeps its least member
+    pruned = set(_every_leaf(n, pa, pb, False))
+    seen = set()
+    for leaf in _every_leaf(n, pa, pb, True):
+        if leaf not in seen:
+            orbit = _orbit(n, leaf, pa == pb)
+            assert min(orbit) in pruned
+            seen |= orbit
 
 
 def test_path_plus_seven_certifies_thirteen():
-    assert ramsey_number(Pattern.path_plus(7), Pattern.path_plus(7), n_max=14).value == 13
+    cert = ramsey_number(Pattern.path_plus(7), Pattern.path_plus(7), n_max=14)
+    assert cert.value == 13
+    assert (cert.exhausted_outcome.nodes, cert.exhausted_outcome.prunes) == (4477, 1418)
+
+
+def test_star_plus_six_exhausts_eleven():
+    sp6 = Pattern.star_plus(6)
+    out = search_two_color(11, sp6, sp6)
+    assert (out.verdict, out.nodes, out.prunes) == ("exhausted", 15651, 5520)
 
 
 def test_single_vertex_search():
@@ -341,17 +385,18 @@ def test_budget_validation():
 
 
 def test_node_budget_is_exact_and_job_independent():
+    # the search of order 7 exhausts after 95 nodes
     for jobs in (1, 2):
         with pytest.raises(BudgetExhausted) as exc:
-            search_two_color(7, SP4, SP4, budget=SearchBudget(max_nodes=100), jobs=jobs)
+            search_two_color(7, SP4, SP4, budget=SearchBudget(max_nodes=80), jobs=jobs)
         assert exc.value.reason == "nodes"
-        assert exc.value.nodes == 100
+        assert exc.value.nodes == 80
 
 
 def test_generous_node_budget_completes():
     out = search_two_color(7, SP4, SP4, budget=SearchBudget(max_nodes=10**6))
     assert out.verdict == "exhausted"
-    assert out.nodes == 126
+    assert out.nodes == 95
 
 
 def test_time_budget_reports():
@@ -385,12 +430,12 @@ def test_split_depth_does_not_change_answers(monkeypatch):
         ("K3-K3", 1, "witness", 0, 0, "e28dd495befc0be2009b7a63105fb50ace7ee7b7d7317a8453a859139cc60a7a"),
         ("K3-K3", 2, "witness", 1, 0, "4c0d784ed1533514ed377d5b4b4b4d099c945df3136a53b5ff32c45a49663d6f"),
         ("K3-K3", 3, "witness", 4, 1, "bc8e9d54e1af22f5c71f6036f05854a7a11a27c4a3ba200491f00eb8cfcf579e"),
-        ("K3-K3", 4, "witness", 11, 3, "0f17c0abd4cca077904ac51a21e59639260903963677c445ab74c22ae03e2b2b"),
-        ("K3-K3", 5, "witness", 33, 12, WITNESS_SHA256["K3-K3"]),
-        ("K3-K3", 6, "exhausted", 78, 32, None),
-        ("P4-P5", 4, "witness", 9, 3, "b7d9e70873c77c8b8e5440dd47be36c48e396ce99abf497ea4a2b82f43c2a3af"),
-        ("P4-P5", 8, "witness", 59, 13, WITNESS_SHA256["P4-P5"]),
-        ("P4-P5", 9, "exhausted", 242, 89, None),
+        ("K3-K3", 4, "witness", 10, 2, "0f17c0abd4cca077904ac51a21e59639260903963677c445ab74c22ae03e2b2b"),
+        ("K3-K3", 5, "witness", 27, 7, WITNESS_SHA256["K3-K3"]),
+        ("K3-K3", 6, "exhausted", 51, 18, None),
+        ("P4-P5", 4, "witness", 7, 1, "b7d9e70873c77c8b8e5440dd47be36c48e396ce99abf497ea4a2b82f43c2a3af"),
+        ("P4-P5", 8, "witness", 53, 7, WITNESS_SHA256["P4-P5"]),
+        ("P4-P5", 9, "exhausted", 156, 50, None),
     ]:
         pa, pb, _ = PINNED_PAIRS[name]
         for depth in (1, 3, 6, 15):
@@ -403,15 +448,15 @@ def test_split_depth_does_not_change_answers(monkeypatch):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_node_budget_stops_where_the_single_job_search_does(jobs):
-    # order 8 of P4-P5 has a witness after 59 nodes, below the second of its
-    # 17 prefixes: a cap of 58 stops every run, 59 and above let it finish
+    # order 8 of P4-P5 has a witness after 53 nodes, below the second of its
+    # 8 prefixes: a cap of 52 stops every run, 53 and above let it finish
     pa, pb, _ = PINNED_PAIRS["P4-P5"]
     with pytest.raises(BudgetExhausted) as exc:
-        search_two_color(8, pa, pb, budget=SearchBudget(max_nodes=58), jobs=jobs)
-    assert (exc.value.reason, exc.value.nodes) == ("nodes", 58)
-    for cap in (59, 60):
+        search_two_color(8, pa, pb, budget=SearchBudget(max_nodes=52), jobs=jobs)
+    assert (exc.value.reason, exc.value.nodes) == ("nodes", 52)
+    for cap in (53, 54):
         out = search_two_color(8, pa, pb, budget=SearchBudget(max_nodes=cap), jobs=jobs)
-        assert (out.verdict, out.nodes, out.prunes) == ("witness", 59, 13)
+        assert (out.verdict, out.nodes, out.prunes) == ("witness", 53, 7)
 
 
 def test_jobs_do_not_change_outcome():
