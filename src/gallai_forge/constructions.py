@@ -133,9 +133,9 @@ def lower_bound_construction(t: int, k: int) -> ColoredCompleteGraph:
 
 
 def _fill_random(sq: np.ndarray, lo: int, hi: int, k: int, rng: random.Random) -> None:
+    # fills only the entries below the diagonal, the ones from_square reads;
+    # called on two or more vertices
     size = hi - lo
-    if size == 1:
-        return
     parts = rng.randint(2, min(8, size))
     cuts = sorted(rng.sample(range(1, size), parts - 1))
     bounds = [lo] + [lo + c for c in cuts] + [hi]
@@ -145,11 +145,10 @@ def _fill_random(sq: np.ndarray, lo: int, hi: int, k: int, rng: random.Random) -
         c1 = c2 = 1
     for i in range(parts):
         for j in range(i + 1, parts):
-            color = c1 if rng.random() < 0.5 else c2
-            sq[bounds[i] : bounds[i + 1], bounds[j] : bounds[j + 1]] = color
-            sq[bounds[j] : bounds[j + 1], bounds[i] : bounds[i + 1]] = color
+            sq[bounds[j] : bounds[j + 1], bounds[i] : bounds[i + 1]] = c1 if rng.random() < 0.5 else c2
     for i in range(parts):
-        _fill_random(sq, bounds[i], bounds[i + 1], k, rng)
+        if bounds[i + 1] - bounds[i] > 1:
+            _fill_random(sq, bounds[i], bounds[i + 1], k, rng)
 
 
 def random_gallai(n: int, k: int, seed: int) -> ColoredCompleteGraph:
@@ -167,5 +166,6 @@ def random_gallai(n: int, k: int, seed: int) -> ColoredCompleteGraph:
         raise ValueError(f"need k >= 1, got {k}")
     rng = random.Random(seed)
     sq = np.zeros((n, n), dtype=np.uint16)
-    _fill_random(sq, 0, n, k, rng)
+    if n > 1:
+        _fill_random(sq, 0, n, k, rng)
     return ColoredCompleteGraph.from_square(n, k, sq)

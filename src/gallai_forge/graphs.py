@@ -46,7 +46,10 @@ def iter_bits(mask: int) -> Iterator[int]:
 def _row_masks(hits: np.ndarray) -> list[int]:
     """Row i of a boolean matrix as an int whose bit j is ``hits[i, j]``."""
     packed = np.packbits(hits, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    # one buffer sliced by row: a row view's tobytes costs more than a slice
+    width = packed.shape[1]
+    buf = packed.tobytes()
+    return [int.from_bytes(buf[i * width : (i + 1) * width], "little") for i in range(len(packed))]
 
 
 class GcgFormatError(ValueError):
@@ -97,7 +100,8 @@ class ColoredCompleteGraph:
 
     @classmethod
     def from_square(cls, n: int, k: int, square) -> "ColoredCompleteGraph":
-        """Build from an n-by-n symmetric color matrix; the diagonal is ignored."""
+        """Build from an n-by-n symmetric color matrix.  Only the entries
+        below the diagonal are read."""
         sq = np.asarray(square)
         if sq.shape != (n, n):
             raise ValueError(f"expected a {n}x{n} matrix, got shape {sq.shape}")

@@ -35,13 +35,19 @@ reads adapts to the observed node rate, from 1 to 8192 nodes, since a node
 on a dense prefix can cost milliseconds.  The node cap is exact.
 
 One job walks the whole tree, a single empty leaf on one vertex, in one DFS
-that stops at the first witness.  Parallel runs split the tree at a fixed
-depth into prefix subtrees and run them wave by wave, a lone subtree in this
-process.  The prefix phase records the counters at which it reaches each
-prefix, and one loop folds the subtrees' counters onto those marks in prefix
-order, so verdict, witness, node and prune counters, and the node cap's stop
-match the single-job DFS exactly.  ``ramsey_number`` starts at most one
-worker pool for all of its orders, at the first wave of two or more subtrees.
+that stops at the first witness.  ``ramsey_number`` carries that DFS from
+order to order: the order-n tree is the top of the order-(n + 1) tree, so
+order n + 1 resumes the walk at order n's witness leaf and places the edges
+into vertex n from there.  No node is walked twice, and each order still
+counts, finds and stops at the node cap as a fresh search would.  Parallel
+runs split the tree at a fixed depth into prefix subtrees and run them wave
+by wave, a lone subtree in this process.  The prefix phase records the
+counters at which it reaches each prefix, and one loop folds the subtrees'
+counters onto those marks in prefix order, so verdict, witness, node and
+prune counters, and the node cap's stop match the single-job DFS exactly.
+``ramsey_number`` starts at most one worker pool for all of its orders, at
+the first wave of two or more subtrees; each pooled order starts its walk
+afresh.
 """
 
 from __future__ import annotations
@@ -225,10 +231,10 @@ CLOCK_TICK = 0.01
 MAX_STRIDE = 8192
 
 
-def _explore(n, p_red, p_blue, prefix, depth_stop, first_only, cap, deadline, reference=False):
-    """Iterative DFS from a fixed valid prefix up to ``depth_stop`` edges.
-    Each color is tested on an edge before it is placed, so a pruned node
-    leaves the coloring untouched.
+def _explore(n, p_red, p_blue, prefix, depth_stop, cap, deadline, reference=False):
+    """Iterative DFS from a fixed valid prefix up to ``depth_stop`` edges,
+    as a generator.  Each color is tested on an edge before it is placed, so
+    a pruned node leaves the coloring untouched.
 
     Unless ``reference``, the row rule holds: for i < j, row i outside
     entries i and j is lexicographically at most row j.  Edge (u, v) is
@@ -243,23 +249,54 @@ def _explore(n, p_red, p_blue, prefix, depth_stop, first_only, cap, deadline, re
     prefix is replayed, so counters do not depend on where the tree is
     split.
 
-    Returns (results, marks, nodes, prunes, truncated) where results holds
-    complete assignments of the explored range (all of them, or just the
-    first when ``first_only``), marks the (nodes, prunes) counted when each
-    was reached, and truncated is None, "nodes", or "time".
+    Yields (leaf, nodes, prunes, None) at each complete assignment of the
+    explored range, with the counters at which it was reached, and last
+    (None, nodes, prunes, truncated), truncated being None, "nodes" or
+    "time".  Sending (m, deadline) at a leaf of a walk over the whole tree
+    of order n deepens it to order m > n: the leaf becomes an inner node
+    and the walk goes on to place the edges into vertices n to m - 1,
+    under the new deadline, a fresh clock stride and the same cap.  Edges
+    into vertex v come before those into v + 1, so the order-n tree is the
+    top C(n, 2) levels of the order-m tree, and there the deeper walk
+    visits the same nodes in the same order: ``floor``, ``tie`` and the
+    checkers read only placed edges.  Its first visit to depth C(n, 2) is
+    order n's first leaf, so its running counters, and the node cap's
+    stop, are those of a fresh walk of order m.
     """
-    edges = [(u, v, 1 << u, 1 << v) for v in range(1, n) for u in range(v)]
     # per-color state, indexed by color 1 or 2
-    adj = (None, [0] * n, [0] * n)
-    deg = (None, [0] * n, [0] * n)
-    hit = (None, _make_checker(p_red, adj[1], deg[1]), _make_checker(p_blue, adj[2], deg[2]))
-    col = [0] * len(edges)
+    adj = (None, [], [])
+    deg = (None, [], [])
+    edges = []
+    col = []
     # tie[j]: the i < j whose rows still agree with row j, outside entries i
     # and j, on the edges placed so far (all of them before column j);
     # saved[e]: (tie[u], tie[v]) from before edge e = (u, v) was placed
-    tie = [(1 << j) - 1 for j in range(n)]
-    saved = [None] * len(edges)
+    tie = []
+    saved = []
+    # the last color tried per level, and the next color to try
+    top = [2]
+    nxt = [1]
     blue = adj[2]
+
+    def grow(m):
+        # vertices len(tie) to m - 1, whose edges come after all others
+        for v in range(len(tie), m):
+            edges.extend((u, v, 1 << u, 1 << v) for u in range(v))
+            for c in (1, 2):
+                adj[c].append(0)
+                deg[c].append(0)
+            tie.append((1 << v) - 1)
+        added = len(edges) - len(col)
+        col.extend([0] * added)
+        saved.extend([None] * added)
+        top.extend([2] * added)
+        nxt.extend([1] * added)
+
+    grow(n)
+    hit = (None, _make_checker(p_red, adj[1], deg[1]), _make_checker(p_blue, adj[2], deg[2]))
+    # when both targets coincide the first edge is fixed to color 1 (color swap)
+    if p_red == p_blue:
+        top[0] = 1
 
     def floor(e):
         # the first color level e may take, once edges 0..e - 1 are placed:
@@ -288,15 +325,7 @@ def _explore(n, p_red, p_blue, prefix, depth_stop, first_only, cap, deadline, re
     for e, c in enumerate(prefix):
         place(e, c)
     base = len(prefix)
-    # the last color tried per level: when both targets coincide the first
-    # edge is fixed to color 1 (color swap)
-    top = [2] * (depth_stop + 1)
-    if p_red == p_blue:
-        top[0] = 1
-    nxt = [1] * (depth_stop + 1)
     nxt[base] = floor(base)
-    results = []
-    marks = []
     nodes = 0
     prunes = 0
     truncated = None
@@ -349,10 +378,16 @@ def _explore(n, p_red, p_blue, prefix, depth_stop, first_only, cap, deadline, re
                 nxt[level] = floor(level)
                 continue
         else:
-            results.append(tuple(col[:depth_stop]))
-            marks.append((nodes, prunes))
-            if first_only:
-                break
+            deeper = yield tuple(col[:depth_stop]), nodes, prunes, None
+            if deeper is not None:
+                # the leaf becomes an inner node of the order-m tree; the
+                # cap stays, and the clock is read at the next node
+                m, deadline = deeper
+                grow(m)
+                depth_stop = len(edges)
+                nxt[level] = floor(level)
+                stride, seen, check_at = 1, (nodes, clock()), nodes + 1
+                continue
         # backtrack: take the edge at level - 1 off
         level -= 1
         if level < base:
@@ -367,15 +402,13 @@ def _explore(n, p_red, p_blue, prefix, depth_stop, first_only, cap, deadline, re
         d[v] -= 1
         if not reference:
             tie[u], tie[v] = saved[level]
-    return results, marks, nodes, prunes, truncated
+    yield None, nodes, prunes, truncated
 
 
 def _subtree_task(args):
     n, p_red, p_blue, prefix, cap, deadline, reference = args
-    results, _, nodes, prunes, truncated = _explore(
-        n, p_red, p_blue, prefix, n * (n - 1) // 2, True, cap, deadline, reference
-    )
-    return (results[0] if results else None, nodes, prunes, truncated)
+    # the subtree's first leaf, or its end
+    return next(_explore(n, p_red, p_blue, prefix, n * (n - 1) // 2, cap, deadline, reference))
 
 
 class _LazyPool:
@@ -419,6 +452,7 @@ def search_two_color(
     reference: bool = False,
     *,
     _pool: _LazyPool | None = None,
+    _deepen: list | None = None,
 ) -> SearchOutcome:
     """Decide whether some 2-coloring of K_n avoids ``p_red`` in color 1 and
     ``p_blue`` in color 2.  Returns a witness coloring (re-validated by the
@@ -427,7 +461,10 @@ def search_two_color(
     not depend on ``jobs``.  ``reference`` runs the plain DFS, without the
     row rule: same verdict and witness, larger counters.
     ``_pool`` is the caller's worker pool, which ``ramsey_number`` shares
-    across orders; without it a pooled run starts its own."""
+    across orders; without it a pooled run starts its own.  ``_deepen`` is
+    ``ramsey_number``'s slot for its single-job DFS: at one job this order
+    resumes the walk found there, paused at order n - 1's witness leaf,
+    and a walk that ends at a witness is put back for order n + 1."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if jobs < 1:
@@ -439,48 +476,61 @@ def search_two_color(
     deadline = time.monotonic() + budget.max_time if budget.max_time is not None else None
 
     if jobs == 1:
-        # one DFS over the whole tree: the prefix phase at depth 0
-        prefixes, marks, prefix_nodes, prefix_prunes = [()], [(0, 0)], 0, 0
+        # one DFS over the whole tree, up to its first leaf
+        if _deepen:
+            walker = _deepen.pop()
+            found, nodes, prunes, truncated = walker.send((n, deadline))
+        else:
+            walker = _explore(n, p_red, p_blue, (), n * (n - 1) // 2, cap, deadline, reference)
+            found, nodes, prunes, truncated = next(walker)
+        if truncated is not None:
+            raise BudgetExhausted(truncated, cap if truncated == "nodes" else nodes)
+        if found is not None and _deepen is not None:
+            _deepen.append(walker)
     else:
         # the pool gets the subtrees below the first SPLIT_DEPTH edges; this
         # phase, at most 126 nodes, runs uncapped, and the fold judges the cap
+        prefixes, marks = [], []
         depth = min(SPLIT_DEPTH, n * (n - 1) // 2)
-        prefixes, marks, prefix_nodes, prefix_prunes, truncated = _explore(
-            n, p_red, p_blue, (), depth, False, float("inf"), deadline, reference
-        )
+        for prefix, prefix_nodes, prefix_prunes, truncated in _explore(
+            n, p_red, p_blue, (), depth, float("inf"), deadline, reference
+        ):
+            if prefix is not None:
+                prefixes.append(prefix)
+                marks.append((prefix_nodes, prefix_prunes))
         if truncated is not None:
             raise BudgetExhausted(truncated, prefix_nodes)
 
-    # The sequential DFS reaches prefix i after marks[i] prefix nodes and
-    # the subtrees before it, so folding the subtrees in prefix order gives
-    # its counters, and its node cap trips at the same subtree.  A wave's
-    # tasks are built only once the wave before it is folded, so each gets
-    # at least its remaining cap.
-    found = None
-    sub_nodes = sub_prunes = 0  # over the subtrees folded so far
-    with nullcontext(_pool) if _pool is not None else _LazyPool(jobs) as pool:
-        waves = (
-            pool.map(
-                _subtree_task,
-                [(n, p_red, p_blue, prefixes[i], cap - marks[i][0] - sub_nodes, deadline, reference) for i in wave],
+        # The sequential DFS reaches prefix i after marks[i] prefix nodes and
+        # the subtrees before it, so folding the subtrees in prefix order
+        # gives its counters, and its node cap trips at the same subtree.  A
+        # wave's tasks are built only once the wave before it is folded, so
+        # each gets at least its remaining cap.
+        found = None
+        sub_nodes = sub_prunes = 0  # over the subtrees folded so far
+        with nullcontext(_pool) if _pool is not None else _LazyPool(jobs) as pool:
+            waves = (
+                pool.map(
+                    _subtree_task,
+                    [(n, p_red, p_blue, prefixes[i], cap - marks[i][0] - sub_nodes, deadline, reference) for i in wave],
+                )
+                for wave in (range(start, min(start + jobs, len(prefixes))) for start in range(0, len(prefixes), jobs))
             )
-            for wave in (range(start, min(start + jobs, len(prefixes))) for start in range(0, len(prefixes), jobs))
-        )
-        for mark, (found, nodes, prunes, truncated) in zip(marks, chain.from_iterable(waves)):
-            sub_nodes += nodes
-            sub_prunes += prunes
-            if mark[0] + sub_nodes > cap:
-                raise BudgetExhausted("nodes", cap)
-            if truncated == "time":
-                raise BudgetExhausted("time", mark[0] + sub_nodes)
-            if found is not None:
-                # the DFS stops here, before the rest of the prefix phase
-                prefix_nodes, prefix_prunes = mark
-                break
-    nodes, prunes = prefix_nodes + sub_nodes, prefix_prunes + sub_prunes
-    if found is None:
-        if nodes > cap:
+            for mark, (found, nodes, prunes, truncated) in zip(marks, chain.from_iterable(waves)):
+                sub_nodes += nodes
+                sub_prunes += prunes
+                if mark[0] + sub_nodes > cap:
+                    raise BudgetExhausted("nodes", cap)
+                if truncated == "time":
+                    raise BudgetExhausted("time", mark[0] + sub_nodes)
+                if found is not None:
+                    # the DFS stops here, before the rest of the prefix phase
+                    prefix_nodes, prefix_prunes = mark
+                    break
+        nodes, prunes = prefix_nodes + sub_nodes, prefix_prunes + sub_prunes
+        if found is None and nodes > cap:
             raise BudgetExhausted("nodes", cap)
+    if found is None:
         return SearchOutcome("exhausted", None, nodes, prunes)
     witness = ColoredCompleteGraph(n, 2, found)
     for p, color in ((p_red, 1), (p_blue, 2)):
@@ -498,14 +548,28 @@ def ramsey_number(
     reference: bool = False,
 ) -> RamseyCertificate:
     """Smallest n <= n_max whose search is exhausted, certified by the
-    extremal witness at n - 1.  Each order gets the full budget.
-    ``reference`` runs every order with the plain DFS."""
+    extremal witness at n - 1.  Each order gets the full budget: its node
+    cap against its own counters, and a fresh deadline.  ``reference``
+    runs every order with the plain DFS.
+
+    Each order is one ``search_two_color`` call.  At one job they share
+    one DFS, which deepens order by order instead of restarting: order n's
+    walk stops at its first leaf, the witness, and order n + 1 resumes
+    there and places the edges into vertex n (see ``_explore``), so no
+    node is walked twice, yet each order reports the counters, witness and
+    node-cap stop of a fresh search.  At two or more jobs each order runs
+    its own prefix phase and pool waves; resuming pooled subtrees is not
+    done, so a pooled order still re-walks the order before it, and a
+    pooled witness order waits for its whole wave."""
     if n_max < 2:
         raise ValueError(f"need n_max >= 2, got {n_max}")
     previous: SearchOutcome | None = None
+    deepen: list = []  # the single-job DFS, paused at the last witness
     with _LazyPool(jobs) as pool:
         for n in range(2, n_max + 1):
-            outcome = search_two_color(n, p_a, p_b, budget=budget, jobs=jobs, reference=reference, _pool=pool)
+            outcome = search_two_color(
+                n, p_a, p_b, budget=budget, jobs=jobs, reference=reference, _pool=pool, _deepen=deepen
+            )
             if outcome.verdict == "exhausted":
                 # search_two_color already re-validated the witness it returned
                 witness = previous.witness if previous is not None else ColoredCompleteGraph(1, 2, [])

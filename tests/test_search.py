@@ -299,7 +299,8 @@ def _rows_ascend(n, colors):
 
 
 def _every_leaf(n, pa, pb, reference):
-    return search._explore(n, pa, pb, (), n * (n - 1) // 2, False, float("inf"), None, reference)[0]
+    walk = search._explore(n, pa, pb, (), n * (n - 1) // 2, float("inf"), None, reference)
+    return [leaf for leaf, _, _, _ in walk if leaf is not None]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -336,6 +337,75 @@ def test_symmetry_pruning_keeps_the_least_of_every_class(pa, pb, n):
             orbit = _orbit(n, leaf, pa == pb)
             assert min(orbit) in pruned
             seen |= orbit
+
+
+def _summary(n, out):
+    return (n, out.verdict, out.nodes, out.prunes, out.witness and encode(out.witness))
+
+
+def _fresh_orders(pa, pb, n_max, budget, reference):
+    # ramsey_number's ascent as a loop of fresh searches: each order tried,
+    # then how the ascent stopped
+    tried = []
+    for n in range(2, n_max + 1):
+        try:
+            out = search_two_color(n, pa, pb, budget=budget, reference=reference)
+        except BudgetExhausted as exc:
+            return tried + [(n, "budget", exc.reason, exc.nodes)]
+        tried.append(_summary(n, out))
+        if out.verdict == "exhausted":
+            return tried + [("value", n)]
+    return tried + [("not found",)]
+
+
+def _deepened_orders(pa, pb, n_max, budget, reference):
+    # the same from ramsey_number itself, its calls to search_two_color
+    # wrapped as perfbench wraps them
+    tried = []
+    original = search.search_two_color
+
+    def recorded(n, *args, **kwargs):
+        try:
+            out = original(n, *args, **kwargs)
+        except BudgetExhausted as exc:
+            tried.append((n, "budget", exc.reason, exc.nodes))
+            raise
+        tried.append(_summary(n, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "search_two_color", recorded)
+        try:
+            cert = ramsey_number(pa, pb, n_max, budget=budget, reference=reference)
+        except BudgetExhausted:
+            return tried
+        except NotFoundBelowCap:
+            return tried + [("not found",)]
+    assert [_summary(cert.value, cert.exhausted_outcome)] == tried[-1:]
+    assert encode(cert.witness) == (tried[-2][4] if cert.value > 2 else encode(ColoredCompleteGraph(1, 2, [])))
+    return tried + [("value", cert.value)]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(pa=TARGETS, pb=TARGETS, reference=st.booleans())
+def test_ramsey_number_deepens_as_fresh_searches_count(pa, pb, reference):
+    # one DFS carried from order to order must report, at every order, what
+    # a fresh search of that order reports, and try each order once
+    budget = SearchBudget(max_nodes=5_000)
+    tried = _deepened_orders(pa, pb, 8, budget, reference)
+    assert [row[0] for row in tried[:-1]] == list(range(2, len(tried) + 1))
+    assert tried == _fresh_orders(pa, pb, 8, budget, reference)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(["K3-K3", "S4-S4", "P4-P5", "P5-P5"]), reference=st.booleans(), data=st.data())
+def test_ramsey_number_node_cap_stops_as_fresh_searches_do(name, reference, data):
+    # a cap up to the exhausted order's count stops the deepened DFS at the
+    # order, and the node, where a loop of fresh searches stops
+    pa, pb, value = PINNED_PAIRS[name]
+    exhausted = search_two_color(value, pa, pb, reference=reference).nodes
+    budget = SearchBudget(max_nodes=data.draw(st.integers(1, exhausted)))
+    assert _deepened_orders(pa, pb, value, budget, reference) == _fresh_orders(pa, pb, value, budget, reference)
 
 
 def test_path_plus_seven_certifies_thirteen():
