@@ -34,20 +34,22 @@ A time budget's clock is read about every 10 ms of search: the stride between
 reads adapts to the observed node rate, from 1 to 8192 nodes, since a node
 on a dense prefix can cost milliseconds.  The node cap is exact.
 
-One job walks the whole tree, a single empty leaf on one vertex, in one DFS
-that stops at the first witness.  ``ramsey_number`` carries that DFS from
-order to order: the order-n tree is the top of the order-(n + 1) tree, so
-order n + 1 resumes the walk at order n's witness leaf and places the edges
-into vertex n from there.  No node is walked twice, and each order still
-counts, finds and stops at the node cap as a fresh search would.  Parallel
-runs split the tree at a fixed depth into prefix subtrees and run them wave
-by wave, a lone subtree in this process.  The prefix phase records the
-counters at which it reaches each prefix, and one loop folds the subtrees'
-counters onto those marks in prefix order, so verdict, witness, node and
-prune counters, and the node cap's stop match the single-job DFS exactly.
-``ramsey_number`` starts at most one worker pool for all of its orders, at
-the first wave of two or more subtrees; each pooled order starts its walk
-afresh.
+One job walks the whole tree in one DFS that stops at the first witness.
+Edges into vertex v come before those into v + 1, so the order-n tree is the
+top C(n, 2) levels of the order-m tree for every m > n, and there the deeper
+walk visits the same nodes in the same order: the row rule and the checkers
+read only placed edges.  So ``ramsey_number`` carries the DFS from order to
+order: order n + 1 resumes the walk at order n's witness leaf and places the
+edges into vertex n from there.  No node is walked twice, and each order
+still counts, finds and stops at the node cap as a fresh search would.  For
+the same reason parallel runs cut the order-n tree at the colorings of its
+first min(n, SPLIT_ORDER) vertices, reached at the same counters as in the
+one DFS.  The subtrees below them stream through one worker pool, a lone
+subtree in this process, and one loop folds their counters onto those marks
+in prefix order, so verdict, witness, node and prune counters, and the node
+cap's stop match the single-job DFS exactly.  ``ramsey_number`` starts at
+most one worker pool for all of its orders; each pooled order starts its
+walk afresh.
 """
 
 from __future__ import annotations
@@ -57,14 +59,13 @@ import sys
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import chain
 
 from .formulas import _check_family, linear_claim, size_three_divergence
 from .graphs import ColoredCompleteGraph
 from .patterns import Pattern, _plan, _walk, contains_pattern
 
-# edges fixed before the tree is cut into prefix subtrees
-SPLIT_DEPTH = 6
+# the order whose colorings are the prefixes the tree is cut into
+SPLIT_ORDER = 4
 
 
 @dataclass(frozen=True)
@@ -231,9 +232,9 @@ CLOCK_TICK = 0.01
 MAX_STRIDE = 8192
 
 
-def _explore(n, p_red, p_blue, prefix, depth_stop, cap, deadline, reference=False):
-    """Iterative DFS from a fixed valid prefix up to ``depth_stop`` edges,
-    as a generator.  Each color is tested on an edge before it is placed, so
+def _explore(n, p_red, p_blue, prefix, cap, deadline, reference=False):
+    """Iterative DFS of the order-n tree from a fixed valid prefix, as a
+    generator.  Each color is tested on an edge before it is placed, so
     a pruned node leaves the coloring untouched.
 
     Unless ``reference``, the row rule holds: for i < j, row i outside
@@ -249,19 +250,12 @@ def _explore(n, p_red, p_blue, prefix, depth_stop, cap, deadline, reference=Fals
     prefix is replayed, so counters do not depend on where the tree is
     split.
 
-    Yields (leaf, nodes, prunes, None) at each complete assignment of the
-    explored range, with the counters at which it was reached, and last
-    (None, nodes, prunes, truncated), truncated being None, "nodes" or
-    "time".  Sending (m, deadline) at a leaf of a walk over the whole tree
-    of order n deepens it to order m > n: the leaf becomes an inner node
-    and the walk goes on to place the edges into vertices n to m - 1,
-    under the new deadline, a fresh clock stride and the same cap.  Edges
-    into vertex v come before those into v + 1, so the order-n tree is the
-    top C(n, 2) levels of the order-m tree, and there the deeper walk
-    visits the same nodes in the same order: ``floor``, ``tie`` and the
-    checkers read only placed edges.  Its first visit to depth C(n, 2) is
-    order n's first leaf, so its running counters, and the node cap's
-    stop, are those of a fresh walk of order m.
+    Yields (leaf, nodes, prunes, None) at each coloring of K_n, with the
+    counters at which it was reached, and last (None, nodes, prunes,
+    truncated), truncated being None, "nodes" or "time".  Sending
+    (m, deadline) at a leaf of a walk from the empty prefix deepens it to
+    order m > n: the walk goes on to place the edges into vertices n to
+    m - 1, under the new deadline, a fresh clock stride and the same cap.
     """
     # per-color state, indexed by color 1 or 2
     adj = (None, [], [])
@@ -293,6 +287,7 @@ def _explore(n, p_red, p_blue, prefix, depth_stop, cap, deadline, reference=Fals
         nxt.extend([1] * added)
 
     grow(n)
+    leaf_level = len(edges)
     hit = (None, _make_checker(p_red, adj[1], deg[1]), _make_checker(p_blue, adj[2], deg[2]))
     # when both targets coincide the first edge is fixed to color 1 (color swap)
     if p_red == p_blue:
@@ -303,7 +298,7 @@ def _explore(n, p_red, p_blue, prefix, depth_stop, cap, deadline, reference=Fals
         # color 1 at (u, v) would let a row i tied with row v exceed it at
         # column u, or a row i tied with row u exceed it at column v; tie[v]
         # holds u too, but blue[u] lacks bit u, the entry that pair skips
-        if reference or e == depth_stop:
+        if reference or e == leaf_level:
             return 1
         u, v, _, _ = edges[e]
         return 2 if (tie[v] & blue[u]) or (tie[u] & blue[v]) else 1
@@ -355,7 +350,7 @@ def _explore(n, p_red, p_blue, prefix, depth_stop, cap, deadline, reference=Fals
     check_at = 1
     level = base
     while True:
-        if level < depth_stop:
+        if level < leaf_level:
             u, v, bu, bv = edges[level]
             c = nxt[level]
             last = top[level]
@@ -378,13 +373,13 @@ def _explore(n, p_red, p_blue, prefix, depth_stop, cap, deadline, reference=Fals
                 nxt[level] = floor(level)
                 continue
         else:
-            deeper = yield tuple(col[:depth_stop]), nodes, prunes, None
+            deeper = yield tuple(col), nodes, prunes, None
             if deeper is not None:
                 # the leaf becomes an inner node of the order-m tree; the
                 # cap stays, and the clock is read at the next node
                 m, deadline = deeper
                 grow(m)
-                depth_stop = len(edges)
+                leaf_level = len(edges)
                 nxt[level] = floor(level)
                 stride, seen, check_at = 1, (nodes, clock()), nodes + 1
                 continue
@@ -406,18 +401,21 @@ def _explore(n, p_red, p_blue, prefix, depth_stop, cap, deadline, reference=Fals
 
 
 def _subtree_task(args):
-    n, p_red, p_blue, prefix, cap, deadline, reference = args
     # the subtree's first leaf, or its end
-    return next(_explore(n, p_red, p_blue, prefix, n * (n - 1) // 2, cap, deadline, reference))
+    return next(_explore(*args))
 
 
-class _LazyPool:
-    """Worker processes for the subtrees, started at the first ``map`` of two
-    or more tasks and stopped on exit, so ``ramsey_number`` starts at most
-    one pool for all of its orders and small orders start none."""
+class _Run:
+    """What a search keeps from one order to the next: the one-job walker,
+    paused at the last witness leaf, and the worker processes for the
+    subtrees.  These start at the first ``map`` of two or more tasks, no
+    more of them than an order has prefixes, so ``ramsey_number`` starts at
+    most one pool for all of its orders and small orders start none; on
+    exit, subtrees still queued are dropped."""
 
     def __init__(self, jobs: int):
         self.jobs = jobs
+        self.walker = None
         self.executor = None
 
     def __enter__(self):
@@ -425,16 +423,17 @@ class _LazyPool:
 
     def __exit__(self, *exc):
         if self.executor is not None:
-            self.executor.shutdown()
+            self.executor.shutdown(cancel_futures=True)
 
     def map(self, fn, tasks):
-        if len(tasks) == 1:  # a worker would only add its round trip
+        if len(tasks) <= 1:  # a worker would only add its round trip
             return map(fn, tasks)
         if self.executor is None:
             # imported here: only pooled runs pay for multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
-            self.executor = ProcessPoolExecutor(max_workers=self.jobs)
+            prefixes = 2 ** (SPLIT_ORDER * (SPLIT_ORDER - 1) // 2)
+            self.executor = ProcessPoolExecutor(max_workers=min(self.jobs, prefixes))
         return self.executor.map(fn, tasks)
 
 
@@ -451,20 +450,16 @@ def search_two_color(
     jobs: int = 1,
     reference: bool = False,
     *,
-    _pool: _LazyPool | None = None,
-    _deepen: list | None = None,
+    _run: _Run | None = None,
 ) -> SearchOutcome:
     """Decide whether some 2-coloring of K_n avoids ``p_red`` in color 1 and
     ``p_blue`` in color 2.  Returns a witness coloring (re-validated by the
     full detectors) or an exhausted verdict; raises BudgetExhausted when the
     budget runs out first.  Verdict, witness, counters and budget stops do
     not depend on ``jobs``.  ``reference`` runs the plain DFS, without the
-    row rule: same verdict and witness, larger counters.
-    ``_pool`` is the caller's worker pool, which ``ramsey_number`` shares
-    across orders; without it a pooled run starts its own.  ``_deepen`` is
-    ``ramsey_number``'s slot for its single-job DFS: at one job this order
-    resumes the walk found there, paused at order n - 1's witness leaf,
-    and a walk that ends at a witness is put back for order n + 1."""
+    row rule: same verdict and witness, larger counters.  ``_run`` is the
+    ``_Run`` that ``ramsey_number`` carries across its orders; alone, a
+    search opens its own."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if jobs < 1:
@@ -474,26 +469,28 @@ def search_two_color(
     budget = budget or SearchBudget()
     cap = budget.max_nodes if budget.max_nodes is not None else float("inf")
     deadline = time.monotonic() + budget.max_time if budget.max_time is not None else None
+    run = _run if _run is not None else _Run(jobs)
 
     if jobs == 1:
-        # one DFS over the whole tree, up to its first leaf
-        if _deepen:
-            walker = _deepen.pop()
+        # one DFS over the whole tree, up to its first leaf, resumed from the
+        # run's last witness leaf if it holds one
+        walker, run.walker = run.walker, None
+        if walker is not None:
             found, nodes, prunes, truncated = walker.send((n, deadline))
         else:
-            walker = _explore(n, p_red, p_blue, (), n * (n - 1) // 2, cap, deadline, reference)
+            walker = _explore(n, p_red, p_blue, (), cap, deadline, reference)
             found, nodes, prunes, truncated = next(walker)
         if truncated is not None:
             raise BudgetExhausted(truncated, cap if truncated == "nodes" else nodes)
-        if found is not None and _deepen is not None:
-            _deepen.append(walker)
+        if found is not None:
+            run.walker = walker
     else:
-        # the pool gets the subtrees below the first SPLIT_DEPTH edges; this
-        # phase, at most 126 nodes, runs uncapped, and the fold judges the cap
+        # the pool gets the subtrees below the colorings of the first
+        # SPLIT_ORDER vertices; this phase, at most 126 nodes, runs uncapped,
+        # and the fold judges the cap
         prefixes, marks = [], []
-        depth = min(SPLIT_DEPTH, n * (n - 1) // 2)
         for prefix, prefix_nodes, prefix_prunes, truncated in _explore(
-            n, p_red, p_blue, (), depth, float("inf"), deadline, reference
+            min(n, SPLIT_ORDER), p_red, p_blue, (), float("inf"), deadline, reference
         ):
             if prefix is not None:
                 prefixes.append(prefix)
@@ -503,20 +500,16 @@ def search_two_color(
 
         # The sequential DFS reaches prefix i after marks[i] prefix nodes and
         # the subtrees before it, so folding the subtrees in prefix order
-        # gives its counters, and its node cap trips at the same subtree.  A
-        # wave's tasks are built only once the wave before it is folded, so
-        # each gets at least its remaining cap.
+        # gives its counters, and its node cap trips at the same subtree.
+        # Each subtree may walk up to the cap less its mark; the fold judges
+        # the cap exactly.
         found = None
         sub_nodes = sub_prunes = 0  # over the subtrees folded so far
-        with nullcontext(_pool) if _pool is not None else _LazyPool(jobs) as pool:
-            waves = (
-                pool.map(
-                    _subtree_task,
-                    [(n, p_red, p_blue, prefixes[i], cap - marks[i][0] - sub_nodes, deadline, reference) for i in wave],
-                )
-                for wave in (range(start, min(start + jobs, len(prefixes))) for start in range(0, len(prefixes), jobs))
-            )
-            for mark, (found, nodes, prunes, truncated) in zip(marks, chain.from_iterable(waves)):
+        tasks = [
+            (n, p_red, p_blue, prefix, cap - mark[0], deadline, reference) for prefix, mark in zip(prefixes, marks)
+        ]
+        with run if _run is None else nullcontext():
+            for mark, (found, nodes, prunes, truncated) in zip(marks, run.map(_subtree_task, tasks)):
                 sub_nodes += nodes
                 sub_prunes += prunes
                 if mark[0] + sub_nodes > cap:
@@ -548,28 +541,17 @@ def ramsey_number(
     reference: bool = False,
 ) -> RamseyCertificate:
     """Smallest n <= n_max whose search is exhausted, certified by the
-    extremal witness at n - 1.  Each order gets the full budget: its node
-    cap against its own counters, and a fresh deadline.  ``reference``
-    runs every order with the plain DFS.
-
-    Each order is one ``search_two_color`` call.  At one job they share
-    one DFS, which deepens order by order instead of restarting: order n's
-    walk stops at its first leaf, the witness, and order n + 1 resumes
-    there and places the edges into vertex n (see ``_explore``), so no
-    node is walked twice, yet each order reports the counters, witness and
-    node-cap stop of a fresh search.  At two or more jobs each order runs
-    its own prefix phase and pool waves; resuming pooled subtrees is not
-    done, so a pooled order still re-walks the order before it, and a
-    pooled witness order waits for its whole wave."""
+    extremal witness at n - 1.  Each order is one ``search_two_color``
+    call with the full budget: its node cap against its own counters, and
+    a fresh deadline.  ``reference`` runs every order with the plain DFS.
+    The orders share one ``_Run``, so one job walks no node twice and a
+    pooled run starts at most one pool."""
     if n_max < 2:
         raise ValueError(f"need n_max >= 2, got {n_max}")
     previous: SearchOutcome | None = None
-    deepen: list = []  # the single-job DFS, paused at the last witness
-    with _LazyPool(jobs) as pool:
+    with _Run(jobs) as run:
         for n in range(2, n_max + 1):
-            outcome = search_two_color(
-                n, p_a, p_b, budget=budget, jobs=jobs, reference=reference, _pool=pool, _deepen=deepen
-            )
+            outcome = search_two_color(n, p_a, p_b, budget=budget, jobs=jobs, reference=reference, _run=run)
             if outcome.verdict == "exhausted":
                 # search_two_color already re-validated the witness it returned
                 witness = previous.witness if previous is not None else ColoredCompleteGraph(1, 2, [])

@@ -299,7 +299,7 @@ def _rows_ascend(n, colors):
 
 
 def _every_leaf(n, pa, pb, reference):
-    walk = search._explore(n, pa, pb, (), n * (n - 1) // 2, float("inf"), None, reference)
+    walk = search._explore(n, pa, pb, (), float("inf"), None, reference)
     return [leaf for leaf, _, _, _ in walk if leaf is not None]
 
 
@@ -358,7 +358,7 @@ def _fresh_orders(pa, pb, n_max, budget, reference):
     return tried + [("not found",)]
 
 
-def _deepened_orders(pa, pb, n_max, budget, reference):
+def _deepened_orders(pa, pb, n_max, budget, reference, jobs=1):
     # the same from ramsey_number itself, its calls to search_two_color
     # wrapped as perfbench wraps them
     tried = []
@@ -376,7 +376,7 @@ def _deepened_orders(pa, pb, n_max, budget, reference):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "search_two_color", recorded)
         try:
-            cert = ramsey_number(pa, pb, n_max, budget=budget, reference=reference)
+            cert = ramsey_number(pa, pb, n_max, budget=budget, jobs=jobs, reference=reference)
         except BudgetExhausted:
             return tried
         except NotFoundBelowCap:
@@ -398,14 +398,22 @@ def test_ramsey_number_deepens_as_fresh_searches_count(pa, pb, reference):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(name=st.sampled_from(["K3-K3", "S4-S4", "P4-P5", "P5-P5"]), reference=st.booleans(), data=st.data())
-def test_ramsey_number_node_cap_stops_as_fresh_searches_do(name, reference, data):
-    # a cap up to the exhausted order's count stops the deepened DFS at the
-    # order, and the node, where a loop of fresh searches stops
+@given(
+    name=st.sampled_from(["K3-K3", "S4-S4", "P4-P5", "P5-P5"]),
+    reference=st.booleans(),
+    jobs=st.sampled_from([1, 2]),
+    data=st.data(),
+)
+def test_ramsey_number_node_cap_stops_as_fresh_searches_do(name, reference, jobs, data):
+    # a cap up to the exhausted order's count stops the deepened DFS, or the
+    # pooled run's stream of subtrees, at the order, and the node, where a
+    # loop of fresh one-job searches stops
     pa, pb, value = PINNED_PAIRS[name]
     exhausted = search_two_color(value, pa, pb, reference=reference).nodes
     budget = SearchBudget(max_nodes=data.draw(st.integers(1, exhausted)))
-    assert _deepened_orders(pa, pb, value, budget, reference) == _fresh_orders(pa, pb, value, budget, reference)
+    assert _deepened_orders(pa, pb, value, budget, reference, jobs) == _fresh_orders(
+        pa, pb, value, budget, reference
+    )
 
 
 def test_path_plus_seven_certifies_thirteen():
@@ -491,11 +499,12 @@ def test_time_budget_stops_soon_where_nodes_are_costly(target):
 
 def test_split_depth_does_not_change_answers(monkeypatch):
     # every split and worker count folds onto the one DFS's counters, at
-    # witness orders too (at depth 6 and 15 the witness lies below a later
-    # prefix than the first), for a pair the triangle checker serves and one
-    # the generic checker serves: (pair, order, verdict, nodes, prunes, the
-    # witness's sha256).  Orders 1 to 4 have at most 6 edges, so the prefix
-    # phase reaches every leaf at the larger depths, and order 1 has none.
+    # witness orders too (split at order 4 and 6 the witness lies below a
+    # later prefix than the first), for a pair the triangle checker serves
+    # and one the generic checker serves: (pair, order, verdict, nodes,
+    # prunes, the witness's sha256).  Split orders 2, 3, 4 and 6 fix 1, 3,
+    # 6 and 15 edges; at the larger ones the prefix phase reaches every leaf
+    # of orders up to 4, and order 1 has no edge.
     for name, n, verdict, nodes, prunes, sha in [
         ("K3-K3", 1, "witness", 0, 0, "e28dd495befc0be2009b7a63105fb50ace7ee7b7d7317a8453a859139cc60a7a"),
         ("K3-K3", 2, "witness", 1, 0, "4c0d784ed1533514ed377d5b4b4b4d099c945df3136a53b5ff32c45a49663d6f"),
@@ -508,8 +517,8 @@ def test_split_depth_does_not_change_answers(monkeypatch):
         ("P4-P5", 9, "exhausted", 156, 50, None),
     ]:
         pa, pb, _ = PINNED_PAIRS[name]
-        for depth in (1, 3, 6, 15):
-            monkeypatch.setattr(search, "SPLIT_DEPTH", depth)
+        for order in (2, 3, 4, 6):
+            monkeypatch.setattr(search, "SPLIT_ORDER", order)
             for jobs in (1, 2):
                 out = search_two_color(n, pa, pb, jobs=jobs)
                 got = (out.verdict, out.nodes, out.prunes, out.witness and _sha256(out.witness))
@@ -519,14 +528,17 @@ def test_split_depth_does_not_change_answers(monkeypatch):
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_node_budget_stops_where_the_single_job_search_does(jobs):
     # order 8 of P4-P5 has a witness after 53 nodes, below the second of its
-    # 8 prefixes: a cap of 52 stops every run, 53 and above let it finish
-    pa, pb, _ = PINNED_PAIRS["P4-P5"]
-    with pytest.raises(BudgetExhausted) as exc:
-        search_two_color(8, pa, pb, budget=SearchBudget(max_nodes=52), jobs=jobs)
-    assert (exc.value.reason, exc.value.nodes) == ("nodes", 52)
-    for cap in (53, 54):
-        out = search_two_color(8, pa, pb, budget=SearchBudget(max_nodes=cap), jobs=jobs)
-        assert (out.verdict, out.nodes, out.prunes) == ("witness", 53, 7)
+    # 8 prefixes, and order 5 of S4-S4 one after 11 nodes, below the first
+    # of its prefixes: a cap one short stops every run, the count and above
+    # let it finish
+    for name, n, nodes, prunes in [("P4-P5", 8, 53, 7), ("S4-S4", 5, 11, 1)]:
+        pa, pb, _ = PINNED_PAIRS[name]
+        with pytest.raises(BudgetExhausted) as exc:
+            search_two_color(n, pa, pb, budget=SearchBudget(max_nodes=nodes - 1), jobs=jobs)
+        assert (exc.value.reason, exc.value.nodes) == ("nodes", nodes - 1)
+        for cap in (nodes, nodes + 1):
+            out = search_two_color(n, pa, pb, budget=SearchBudget(max_nodes=cap), jobs=jobs)
+            assert (out.verdict, out.nodes, out.prunes) == ("witness", nodes, prunes)
 
 
 def test_jobs_do_not_change_outcome():
@@ -560,6 +572,26 @@ def test_ramsey_number_starts_one_pool_for_all_orders(monkeypatch):
     assert started == []
     assert ramsey_number(SP4, SP4, n_max=8, jobs=2).value == 7
     assert started == [2]
+
+
+def test_pool_starts_no_more_workers_than_an_order_has_prefixes(monkeypatch):
+    # no order has more than 2 ** C(SPLIT_ORDER, 2) = 64 subtrees; the fake
+    # runs them in this process, so no worker process starts
+    started = []
+
+    class Fake:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Fake)
+    assert ramsey_number(SP4, SP4, n_max=8, jobs=10_000).value == 7
+    assert started == [64]
 
 
 def test_asymmetric_targets_search_both_color_orders():
