@@ -5,17 +5,19 @@ triangle splits into at least two parts such that at most two colors appear
 between parts and each pair of parts is joined monochromatically.  The
 extractor below searches candidate between-color sets S of size one or two:
 vertices connected by edges colored outside S must share a part, and parts
-joined by more than one color must merge.  The components outside S come
-from a search over per-color neighbor bitmasks, packed once per call; most
-candidates leave K_n connected, and the search stops as soon as its first
-component has reached every vertex.  Two parts are joined by one color iff
-every edge between them has the color of the edge between their first
-vertices, so a merge round finds the offending pairs by one comparison of
-the color matrix with its entries at the parts' first vertices, and the
-same search merges them.  Validation checks the parts as one exact cover
-over a flat vertex array, and scans them one by one only to name the first
-fault.  The rainbow check reads the graph's triangle census, so a graph
-whose detectors have run is not counted again.
+joined by more than one color must merge.  Each used color's rows of the
+color matrix are packed into bytes once per call, and a candidate's cut
+matrix is one of these or the OR of two.  The components outside S come
+from a search over that matrix that turns a row into an int only when it
+pops the row's vertex; most candidates leave K_n connected, and the search
+stops as soon as its first component has reached every vertex.  Two parts
+are joined by one color iff every edge between them has the color of the
+edge between their first vertices, so a merge round finds the offending
+pairs by one comparison of the color matrix with its entries at the parts'
+first vertices, and the same search merges them.  Validation checks the
+parts as one exact cover over a flat vertex array, and scans them one by
+one only to name the first fault.  The rainbow check reads the graph's
+triangle census, so a graph whose detectors have run is not counted again.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .graphs import ColoredCompleteGraph, _row_masks, iter_bits
+from .graphs import ColoredCompleteGraph, iter_bits
 from .patterns import WitnessEmbedding, find_rainbow_triangle
 
 
@@ -71,15 +73,20 @@ class GallaiPartition:
         }
 
 
-def _components(rows: list[list[int]], n: int) -> tuple[np.ndarray, int]:
+def _components(packed: np.ndarray) -> tuple[np.ndarray, int]:
     """Label the components of the graph on vertices 0..n-1 that joins u
-    and v unless bit u is set in some ``rows[i][v]``.
+    and v unless bit u is set in row v of ``packed``, an n-row matrix from
+    ``np.packbits(..., axis=1, bitorder="little")``.
 
-    A popped vertex v reaches every unseen vertex outside the OR of its
-    rows.  When the first component reaches every vertex, often after a few
-    pops, the search returns at once with all labels 0.  Otherwise the
+    A popped vertex v reaches every unseen vertex outside its row, which
+    becomes an int only then, read from one ``tobytes`` buffer of the whole
+    matrix.  When the first component reaches every vertex, often after a
+    few pops, the search returns at once with all labels 0.  Otherwise the
     components' masks are collected and turned into labels at the end.
     """
+    n, width = packed.shape
+    # one buffer sliced by row: a row view's tobytes costs more than a slice
+    buf = packed.tobytes()
     unseen = (1 << n) - 1
     found = []
     while unseen:
@@ -89,9 +96,7 @@ def _components(rows: list[list[int]], n: int) -> tuple[np.ndarray, int]:
             low = frontier & -frontier
             frontier ^= low
             v = low.bit_length() - 1
-            reached = unseen
-            for row in rows:
-                reached &= ~row[v]
+            reached = unseen & ~int.from_bytes(buf[v * width : (v + 1) * width], "little")
             unseen ^= reached
             frontier |= reached
             component |= reached
@@ -128,7 +133,7 @@ def _merge_bichromatic(square: np.ndarray, labels: np.ndarray, count: int) -> tu
         offending = np.zeros((count, count), dtype=bool)
         offending[lu, lv] = offending[lv, lu] = True
         # the search joins the pairs whose bit is clear: the offending ones
-        merged, count = _components([_row_masks(~offending)], count)
+        merged, count = _components(np.packbits(~offending, axis=1, bitorder="little"))
         labels = merged[labels]
     return labels, count
 
@@ -161,10 +166,11 @@ def gallai_partition(graph: ColoredCompleteGraph) -> GallaiPartition:
     # a color with no edges leaves K_n connected alone and adds nothing to a pair
     used = graph.used_colors().tolist()
     # packed per call, not cached through graph.color_masks, so they die on return
-    masks = {c: _row_masks(square == c) for c in used}
-    for color_set in [(c,) for c in used] + list(combinations(used, 2)):
-        # the components of K_n without the edges colored in the set
-        labels, count = _components([masks[c] for c in color_set], graph.n)
+    packed = {c: np.packbits(square == c, axis=1, bitorder="little") for c in used}
+    cuts = chain(packed.values(), (packed[a] | packed[b] for a, b in combinations(used, 2)))
+    for cut in cuts:
+        # the components of K_n without the edges colored in the candidate set
+        labels, count = _components(cut)
         if count < 2:
             continue
         labels, count = _merge_bichromatic(square, labels, count)

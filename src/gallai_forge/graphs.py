@@ -44,7 +44,11 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 
 def _row_masks(hits: np.ndarray) -> list[int]:
-    """Row i of a boolean matrix as an int whose bit j is ``hits[i, j]``."""
+    """Row i of a boolean matrix as an int whose bit j is ``hits[i, j]``.
+
+    Only ``ColoredCompleteGraph.color_masks`` turns every row into an int;
+    the Gallai-partition search keeps its rows packed and unpacks one row
+    when it reaches that row's vertex."""
     packed = np.packbits(hits, axis=1, bitorder="little")
     # one buffer sliced by row: a row view's tobytes costs more than a slice
     width = packed.shape[1]
@@ -105,8 +109,8 @@ class ColoredCompleteGraph:
         sq = np.asarray(square)
         if sq.shape != (n, n):
             raise ValueError(f"expected a {n}x{n} matrix, got shape {sq.shape}")
-        rows, cols = np.tril_indices(n, -1)
-        return cls(n, k, sq[rows, cols])
+        # the True entries of the strict lower triangle, row-major, are the flat edge order
+        return cls(n, k, sq[np.tri(n, n, -1, dtype=bool)])
 
     def color_of(self, u: int, v: int) -> int:
         if u == v:
@@ -119,9 +123,10 @@ class ColoredCompleteGraph:
         """Symmetric n-by-n color matrix with a zero diagonal (read-only)."""
         if self._square is None:
             sq = np.zeros((self.n, self.n), dtype=np.uint16)
-            rows, cols = np.tril_indices(self.n, -1)
-            sq[rows, cols] = self._tri
-            sq[cols, rows] = self._tri
+            # the True entries of the strict lower triangle, row-major, are the flat edge order
+            below = np.tri(self.n, self.n, -1, dtype=bool)
+            sq[below] = self._tri
+            sq.T[below] = self._tri
             sq.setflags(write=False)
             self._square = sq
         return self._square

@@ -189,8 +189,11 @@ def _census(graph: ColoredCompleteGraph) -> _Census:
     step = max(1, _COUNT_BLOCK_BYTES // (n * row_bytes))  # colors, or rows of edges, per block
     degree, triangles = {}, {}
     lost = np.zeros(n)  # triangles through each vertex with a repeated color
+    # block_row[c]: color c's first row in the block's flat view, -1 outside the block
+    block_row = np.full(int(used.max(initial=0)) + 1, -1, dtype=np.intp)
     for c0 in range(0, used.size, step):
         colors = used[c0 : c0 + step]
+        block_row[colors] = np.arange(0, colors.size * n, n)
         # rows[i, v]: v's neighbors in colors[i], packed into 64-bit words
         rows = np.zeros((colors.size, n, row_bytes), dtype=np.uint8)
         for i, c in enumerate(colors):
@@ -205,12 +208,14 @@ def _census(graph: ColoredCompleteGraph) -> _Census:
             u = np.repeat(us, us)
             first = u0 * (u0 - 1) // 2
             w = np.arange(first, first + u.size) - u * (u - 1) // 2
-            ci = np.searchsorted(used, tri[first : first + u.size]) - c0
+            base = block_row[tri[first : first + u.size]]
             if colors.size < used.size:  # keep the edges whose color is in this block
-                here = (ci >= 0) & (ci < colors.size)
-                u, w, ci = u[here], w[here], ci[here]
-            at_u, at_w = ci * n + u, ci * n + w
-            del u, w, ci  # the gathers below need only the rows of the flat view
+                here = base >= 0
+                u, w, base = u[here], w[here], base[here]
+            at_u, at_w = u, w
+            at_u += base  # now the endpoints' rows in the flat view
+            at_w += base
+            del u, w, base  # the gathers below need only those rows
             common = words.take(at_u, axis=0)
             common &= words.take(at_w, axis=0)
             on_edge = np.bitwise_count(common).astype(np.float32) @ ones
@@ -222,6 +227,7 @@ def _census(graph: ColoredCompleteGraph) -> _Census:
         for c, d, e in zip(colors.tolist(), deg, ends):
             if e.any():
                 degree[c], triangles[c] = d, e.astype(np.int64) // 2
+        block_row[colors] = -1
     rainbow = (n - 1) * (n - 2) // 2 - lost.astype(np.int64)
     census = graph._census = _Census(degree, triangles, rainbow)
     return census

@@ -289,12 +289,31 @@ def test_components_outside_match_the_dense_oracle(g):
     pytest.importorskip("scipy")
     square = g.as_square()
     colors = range(1, g.k + 1)
-    masks = {c: g.color_masks(c) for c in colors}
+    packed = {c: np.packbits(square == c, axis=1, bitorder="little") for c in colors}
     for color_set in [(c,) for c in colors] + list(combinations(colors, 2)):
-        labels, count = _components([masks[c] for c in color_set], g.n)
+        labels, count = _components(np.bitwise_or.reduce([packed[c] for c in color_set]))
         want, want_count = _dense_components(square, color_set)
         assert count == want_count, color_set
         assert sorted(set(labels.tolist())) == list(range(count))
+        assert _blocks(labels) == _blocks(want), color_set
+
+
+def test_every_candidate_cut_matches_the_dense_oracle():
+    pytest.importorskip("scipy")
+    # only the last pair of colors splits this coloring, so the extractor
+    # tries every singleton and pair, each once, in order
+    g = lower_bound_construction(4, 5)
+    with mock.patch.object(decompose, "_components", wraps=decompose._components) as spy:
+        gallai_partition(g)
+    used = g.used_colors().tolist()
+    candidates = [(c,) for c in used] + list(combinations(used, 2))
+    cuts = [call.args[0] for call in spy.call_args_list if len(call.args[0]) == g.n]
+    assert len(cuts) == len(candidates) == 15
+    square = g.as_square()
+    for cut, color_set in zip(cuts, candidates):
+        labels, count = _components(cut)
+        want, want_count = _dense_components(square, color_set)
+        assert count == want_count, color_set
         assert _blocks(labels) == _blocks(want), color_set
 
 

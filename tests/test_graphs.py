@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import colorings, wide_colorings
@@ -101,6 +101,32 @@ def test_from_square_roundtrip():
     g = ColoredCompleteGraph(5, 3, [1, 2, 3, 1, 2, 3, 1, 2, 3, 1])
     h = ColoredCompleteGraph.from_square(5, 3, g.as_square())
     assert g == h
+
+
+@st.composite
+def _square_cases(draw) -> ColoredCompleteGraph:
+    """n at the byte and word edges of a packed row or up to 200; colors up to MAX_COLOR."""
+    n = draw(st.sampled_from([1, 2, 3, 63, 64, 65]) | st.integers(1, 200))
+    k = draw(st.sampled_from([1, 2, 255, 256, MAX_COLOR]) | st.integers(1, MAX_COLOR))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return ColoredCompleteGraph(n, k, rng.integers(1, k + 1, n * (n - 1) // 2))
+
+
+@example(g=new_uniform(65, MAX_COLOR, MAX_COLOR))
+@example(g=ColoredCompleteGraph(1, 1, []))
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(g=_square_cases())
+def test_square_views_match_the_index_reference(g):
+    n = g.n
+    rows, cols = np.tril_indices(n, -1)
+    want = np.zeros((n, n), dtype=np.uint16)
+    want[rows, cols] = want[cols, rows] = g.edge_colors()
+    sq = g.as_square()
+    assert sq.dtype == want.dtype
+    assert sq.tobytes() == want.tobytes()
+    assert ColoredCompleteGraph.from_square(n, g.k, sq) == g
+    # only the entries below the diagonal are read: the zeros above would be refused
+    assert ColoredCompleteGraph.from_square(n, g.k, np.tril(want, -1)) == g
 
 
 def test_used_colors_are_ascending_read_only_and_cached():
