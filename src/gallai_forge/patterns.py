@@ -9,16 +9,21 @@ vertex subsets and role assignments straight from the definitions and is
 kept independent so the two can be checked against each other.
 
 find_rainbow_triangle and the detectors for patterns with a triangle
-through role 0 (star-plus, path-plus) read one per-vertex triangle census
-(_census), counted once per graph from packed neighbor bitsets in
-O(n^3/64) word operations and kept on the graph.  For each color c with a
-monochromatic triangle it holds d_c(v) and T_c(v), the number of
-c-triangles through v; for every vertex it holds r(v), the number of
-rainbow triangles through v, which follows from the per-color degrees,
-c-paths and T_c by Goodman's cherry argument.  A coloring with r = 0 is
-rainbow-free; otherwise the first witness starts at the least v with
-r(v) > 0, and only that row is scanned.  The detectors start only from
-vertices with T_c(v) > 0 and skip a color with no triangle.
+through role 0 (star-plus, path-plus) read one per-vertex triangle
+census (_census), counted once per graph from packed neighbor bitsets in
+O(n^3/64) word operations and kept on the graph.  The edges are taken in
+fixed-size chunks of the flat edge order, which may split a row, and the
+bitsets of each chunk's endpoints are gathered into two buffers of about
+512 KB made once per call, so no chunk allocates its gathers afresh.
+For each color c with a monochromatic triangle the census holds d_c(v)
+and T_c(v), the number of c-triangles through v; for every vertex it
+holds r(v), the number of rainbow triangles through v, which follows
+from the per-color degrees, c-paths and T_c by Goodman's cherry
+argument.  A coloring with r = 0 is rainbow-free; otherwise the first
+witness starts at the least u with r(u) > 0, and only that vertex's row
+is scanned, 64 rows of the square below it at a time, up to the first
+block with a hit.  The detectors start only from vertices with
+T_c(v) > 0 and skip a color with no triangle.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,9 +149,10 @@ def _color_range(graph: ColoredCompleteGraph, c: int | None) -> range | tuple[in
     return (c,)
 
 
-# The census packs neighbor rows a block of colors at a time and gathers
-# them a block of edges at a time; each block takes about this many bytes at
-# most (one color, or one row of edges, when n is huge).
+# The census packs neighbor rows a block of colors at a time, each block
+# about this many bytes at most (one color when n is huge), and gathers the
+# rows of each edge chunk's endpoints into two buffers of about an eighth of
+# it each (one edge when n is huge), reused for every chunk.
 _COUNT_BLOCK_BYTES = 1 << 22
 
 
@@ -186,11 +193,15 @@ def _census(graph: ColoredCompleteGraph) -> _Census:
     used = graph.used_colors()
     row_bytes = -(-n // 64) * 8  # whole 64-bit words per row
     ones = np.ones(row_bytes // 8, dtype=np.float32)  # sums a row of word popcounts
-    step = max(1, _COUNT_BLOCK_BYTES // (n * row_bytes))  # colors, or rows of edges, per block
+    step = max(1, _COUNT_BLOCK_BYTES // (n * row_bytes))  # colors per block
+    edges = n * (n - 1) // 2
+    chunk = max(1, _COUNT_BLOCK_BYTES // 8 // row_bytes)  # edges gathered at a time
+    # the two endpoints' rows of a chunk's edges, gathered into the same pages every time
+    gathered = np.empty((2, min(chunk, edges), row_bytes // 8), dtype=np.uint64)
     degree, triangles = {}, {}
     lost = np.zeros(n)  # triangles through each vertex with a repeated color
     # block_row[c]: color c's first row in the block's flat view, -1 outside the block
-    block_row = np.full(int(used.max(initial=0)) + 1, -1, dtype=np.intp)
+    block_row = np.full(int(used[-1]) + 1 if used.size else 1, -1, dtype=np.intp)
     for c0 in range(0, used.size, step):
         colors = used[c0 : c0 + step]
         block_row[colors] = np.arange(0, colors.size * n, n)
@@ -201,14 +212,22 @@ def _census(graph: ColoredCompleteGraph) -> _Census:
         words = rows.view(np.uint64).reshape(colors.size * n, -1)  # row ci * n + v
         deg = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
         ends = np.zeros(colors.size * n)  # 2 T_c(v): |N_c(u) & N_c(w)| over the c-edges uw at v
-        paths = np.zeros(colors.size * n)  # c-paths v-x-y with y != v, from each v
-        for u0 in range(1, n, step):
-            # the edges u > w of rows u0.., in flat order, with a color here
-            us = np.arange(u0, min(n, u0 + step))
-            u = np.repeat(us, us)
-            first = u0 * (u0 - 1) // 2
-            w = np.arange(first, first + u.size) - u * (u - 1) // 2
-            base = block_row[tri[first : first + u.size]]
+        reach = np.zeros(colors.size * n)  # sum of d_c(x) over x in N_c(v)
+        for first in range(0, edges, chunk):
+            stop = min(edges, first + chunk)
+            # the edges u > w numbered first..stop-1 in flat order, whose
+            # first and last rows u may be cut short; row u holds u(u-1)/2..u(u+1)/2-1
+            u_first, u_last = (1 + math.isqrt(8 * first + 1)) // 2, (1 + math.isqrt(8 * stop - 7)) // 2
+            us = np.arange(u_first, u_last + 1)
+            counts = us
+            lead, tail = first - u_first * (u_first - 1) // 2, u_last * (u_last + 1) // 2 - stop
+            if lead or tail:
+                counts = us.copy()
+                counts[0] -= lead
+                counts[-1] -= tail
+            u = np.repeat(us, counts)
+            w = np.arange(first, stop) - u * (u - 1) // 2
+            base = block_row[tri[first:stop]]
             if colors.size < used.size:  # keep the edges whose color is in this block
                 here = base >= 0
                 u, w, base = u[here], w[here], base[here]
@@ -216,14 +235,18 @@ def _census(graph: ColoredCompleteGraph) -> _Census:
             at_u += base  # now the endpoints' rows in the flat view
             at_w += base
             del u, w, base  # the gathers below need only those rows
-            common = words.take(at_u, axis=0)
-            common &= words.take(at_w, axis=0)
+            # every index is a row, so "clip" changes nothing; it lets take
+            # write straight into ``out``, which the default "raise" buffers
+            common, other = gathered[0, : at_u.size], gathered[1, : at_u.size]
+            words.take(at_u, axis=0, out=common, mode="clip")
+            common &= words.take(at_w, axis=0, out=other, mode="clip")
             on_edge = np.bitwise_count(common).astype(np.float32) @ ones
             ends += np.bincount(at_u, on_edge, ends.size) + np.bincount(at_w, on_edge, ends.size)
-            paths += np.bincount(at_u, deg.take(at_w) - 1, paths.size)
-            paths += np.bincount(at_w, deg.take(at_u) - 1, paths.size)
+            reach += np.bincount(at_u, deg.take(at_w), reach.size)
+            reach += np.bincount(at_w, deg.take(at_u), reach.size)
         deg, ends = deg.reshape(colors.size, n), ends.reshape(colors.size, n)
-        lost += (deg * (deg - 1) / 2 + paths.reshape(colors.size, n) - ends).sum(axis=0)
+        # C(d, 2) - d = d(d - 3)/2
+        lost += (deg * (deg - 3) / 2 + reach.reshape(colors.size, n) - ends).sum(axis=0)
         for c, d, e in zip(colors.tolist(), deg, ends):
             if e.any():
                 degree[c], triangles[c] = d, e.astype(np.int64) // 2
@@ -243,8 +266,9 @@ def find_rainbow_triangle(graph: ColoredCompleteGraph) -> WitnessEmbedding | Non
     ordered triples u < v < w lexicographically.
 
     The census decides: the first vertex of the first witness is the least
-    v with r(v) > 0, so only that vertex's row is scanned.  A coloring with
-    fewer than three colors is rainbow-free without one."""
+    u with r(u) > 0, so only that vertex's row is scanned, for 64 candidate
+    v at a time, up to the first block with a hit.  A coloring with fewer
+    than three colors is rainbow-free without one."""
     if graph.used_colors().size < 3:
         return None
     hit = np.flatnonzero(_census(graph).rainbow)
@@ -252,11 +276,15 @@ def find_rainbow_triangle(graph: ColoredCompleteGraph) -> WitnessEmbedding | Non
         return None
     u = int(hit[0])
     m = graph.as_square()
-    a = m[u, u + 1 :]
-    sub = m[u + 1 :, u + 1 :]
-    bad = (a[:, None] != a[None, :]) & (sub != a[:, None]) & (sub != a[None, :])
-    iv, iw = np.nonzero(np.triu(bad, 1))
-    return WitnessEmbedding(Pattern.clique(3), None, (u, int(iv[0]) + u + 1, int(iw[0]) + u + 1))
+    for v0 in range(u + 1, graph.n, 64):
+        # rows v0.. (v) of the square from column v0 on (w), and the colors uv and uw
+        sub = m[v0 : v0 + 64, v0:]
+        av, aw = m[u, v0 : v0 + 64], m[u, v0:]
+        bad = np.triu((av[:, None] != aw) & (sub != av[:, None]) & (sub != aw), 1)  # w > v only
+        if bad.any():
+            v, w = divmod(int(bad.argmax()), bad.shape[1])
+            return WitnessEmbedding(Pattern.clique(3), None, (u, v0 + v, v0 + w))
+    raise RuntimeError(f"internal: the census puts a rainbow triangle on vertex {u} but its row has none")
 
 
 @functools.cache

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import colorings, rainbow_triples, recolored_gallai
 from gallai_forge import patterns
-from gallai_forge.constructions import pentagon_k5, random_gallai, two_clique_example
+from gallai_forge.constructions import lower_bound_construction, pentagon_k5, random_gallai, two_clique_example
 from gallai_forge.graphs import MAX_COLOR, ColoredCompleteGraph, decode, encode, iter_bits, new_uniform
 from gallai_forge.patterns import (
     ORACLE_MAX_HOST,
@@ -143,16 +144,98 @@ def test_pentagon_blowups_stay_rainbow_free(g):
     assert _rainbow_count(g) == len(triples)
 
 
-@pytest.mark.parametrize("block_bytes", [1, 200])
+def _census_values(census):
+    """Each census array as (dtype, entries), keyed by field and color."""
+    arrays = {("rainbow", None): census.rainbow}
+    arrays.update({("degree", c): a for c, a in census.degree.items()})
+    arrays.update({("triangles", c): a for c, a in census.triangles.items()})
+    return {key: (a.dtype, a.tolist()) for key, a in arrays.items()}
+
+
+@pytest.mark.parametrize("block_bytes", [1, 200, 4096])
 def test_rainbow_count_in_small_blocks(monkeypatch, block_bytes):
-    # real inputs fit one block below a few thousand vertices; shrink the
-    # block so that the per-block edge offsets are exercised too
-    monkeypatch.setattr(patterns, "_COUNT_BLOCK_BYTES", block_bytes)
+    # real inputs fit one color block, and up to n = 192 one edge chunk;
+    # shrink the block so that chunks split rows and the colors span
+    # several blocks
     rng = random.Random(17)
     graphs = [_random_coloring(n, k, rng) for n, k in ((20, 3), (25, 4), (9, 5))]
-    graphs += [random_gallai(n, 5, seed) for n, seed in ((30, 1), (40, 2))]
+    graphs += [_random_coloring(n, 3, rng) for n in (1, 2, 63, 64, 65, 130)]
+    graphs += [random_gallai(n, k, seed) for n, k, seed in ((30, 5, 1), (40, 5, 2), (70, 9, 3))]
+    sparse = [rng.choice((MAX_COLOR - 1, MAX_COLOR)) for _ in range(40 * 39 // 2)]
+    graphs.append(ColoredCompleteGraph(40, MAX_COLOR, sparse))  # declares 65535 colors, uses two
+    want = [_census_values(_census(g)) for g in graphs]
     for g in graphs:
-        assert _rainbow_count(g) == len(rainbow_triples(g))
+        if g.n < 100:
+            assert _rainbow_count(g) == len(rainbow_triples(g))
+    monkeypatch.setattr(patterns, "_COUNT_BLOCK_BYTES", block_bytes)
+    for g, values in zip(graphs, want):
+        fresh = ColoredCompleteGraph(g.n, g.k, g.edge_colors())  # the census is kept on g
+        assert _census_values(_census(fresh)) == values
+
+
+def test_census_temporaries_stay_small():
+    # the edge chunks are gathered into two buffers of about 512 KB made
+    # once per call; gathers allocated per block of whole rows peaked near 7 MB
+    g = lower_bound_construction(5, 7)  # n = 500, seven colors in one block
+    tracemalloc.start()
+    try:
+        _census(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 20
+
+
+def _first_rainbow_on_full_square(g):
+    """Reference: the witness scan over the whole square right of and below
+    the census's first vertex, not a block of rows at a time."""
+    hit = np.flatnonzero(_census(g).rainbow)
+    if hit.size == 0:
+        return None
+    u = int(hit[0])
+    m = g.as_square()
+    a = m[u, u + 1 :]
+    sub = m[u + 1 :, u + 1 :]
+    bad = (a[:, None] != a[None, :]) & (sub != a[:, None]) & (sub != a[None, :])
+    iv, iw = np.nonzero(np.triu(bad, 1))
+    return (u, int(iv[0]) + u + 1, int(iw[0]) + u + 1)
+
+
+def _gallai_with_one_third_color(n, seed, v, w):
+    """A two-colored Gallai coloring with the edge vw recolored 3, so that
+    every rainbow triangle contains v and w."""
+    g = random_gallai(n, 2, seed)
+    tri = g.edge_colors().copy()
+    tri[max(v, w) * (max(v, w) - 1) // 2 + min(v, w)] = 3
+    return ColoredCompleteGraph(n, 3, tri)
+
+
+# the witnesses are (57, 63, 64), (0, 100, 128), (0, 100, 288) and
+# (296, 298, 299): the middle two lie past the scan's first block of 64 rows
+RECOLORED = ((65, 1, 63, 64), (129, 6, 100, 128), (300, 3, 100, 288), (300, 4, 298, 299))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [pytest.param(_gallai_with_one_third_color(*args), id=f"recolored-n{args[0]}-v{args[2]}") for args in RECOLORED]
+    + [pytest.param(_random_coloring(n, 3, random.Random(n)), id=f"uniform-n{n}") for n in (64, 65, 200)],
+)
+def test_rainbow_witness_matches_full_square_scan(g):
+    fast = find_rainbow_triangle(g)
+    want = _first_rainbow_on_full_square(g)
+    assert want is not None and fast.vertices == want
+    assert verify_witness(g, fast)
+
+
+def test_rainbow_scan_refuses_a_census_it_cannot_match():
+    # a census that puts a rainbow triangle on a rainbow-free coloring is an
+    # internal fault, reported as such rather than as a bad index
+    g = ColoredCompleteGraph(4, 3, [1, 2, 2, 3, 3, 3])  # three colors, no triangle with all three
+    assert find_rainbow_triangle(g) is None
+    census = _census(g)
+    g._census = patterns._Census(census.degree, census.triangles, np.array([1, 0, 0, 0]))
+    with pytest.raises(RuntimeError, match="internal"):
+        find_rainbow_triangle(g)
 
 
 @st.composite
