@@ -43,8 +43,19 @@ def _env_seed() -> int:
 
 
 def _read_text(path: str) -> str:
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.read()
+    """The file as text with universal newlines, as text mode reads it; a
+    non-ASCII byte raises GcgFormatError at its line and column."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        # "?" stands in for the fault, so the last line is the one that holds
+        # it; splitlines breaks where decode does, at "\r" and "\r\n" too
+        lines = (data[: exc.start].decode("ascii") + "?").splitlines()
+        fault = f"non-ASCII byte 0x{data[exc.start]:02x}"
+        raise GcgFormatError(len(lines), len(lines[-1]), fault) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _write_text(path: str, text: str) -> None:

@@ -17,7 +17,11 @@ from typing import Union
 
 import numpy as np
 
+from .formulas import gr_value
 from .graphs import ColoredCompleteGraph, new_uniform
+
+# the most uint16 edge colors that one numpy array can hold
+_MAX_EDGES = np.iinfo(np.intp).max // np.dtype(np.uint16).itemsize
 
 
 def two_clique_example(t: int, c_in: int, c_between: int) -> ColoredCompleteGraph:
@@ -112,11 +116,18 @@ def lower_bound_recipe(t: int, k: int) -> ConstructionRecipe:
     rainbow triangle and no monochromatic star-plus/path-plus target on t
     vertices.  Orders: (t-1)*5^((k-1)/2) for odd k, 2(t-1)*5^((k-2)/2) for
     even k.  The closed forms start at t = 4; the triangle case t = 3 obeys
-    a different value and is rejected here."""
+    a different value and is rejected here.  A (t, k) whose order has
+    more edges than one array holds is refused before any recipe is made:
+    neither its build nor its text could finish."""
     if t < 4:
         raise ValueError(f"need t >= 4, got {t}; the t = 3 target degenerates to the triangle")
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
+    order = gr_value("star-plus", t, k) - 1
+    if order * (order - 1) // 2 > _MAX_EDGES:
+        raise ValueError(
+            f"t = {t}, k = {k} gives a construction of more than {_MAX_EDGES} edges, more than one array holds"
+        )
     if k % 2:
         recipe: ConstructionRecipe = UniformRecipe(t - 1, 1)
         pairs = [(2 * i, 2 * i + 1) for i in range(1, (k - 1) // 2 + 1)]

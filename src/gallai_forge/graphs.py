@@ -188,23 +188,34 @@ def new_uniform(n: int, c: int, k: int) -> ColoredCompleteGraph:
 
 def encode(graph: ColoredCompleteGraph) -> str:
     """Serialize to GCG text.  The output is canonical: decode(encode(g)) == g
-    and equal graphs encode to identical bytes."""
+    and equal graphs encode to identical bytes.
+
+    When every color is below 10 the text is fixed-width, digits at even
+    offsets of the body and separators at odd ones, and is written by
+    strided stores.  Colors of two or more digits shift every later offset,
+    so only the general writer, which places each color by a running sum of
+    widths, handles them."""
     tri = graph._tri
-    # each color is its digits and one separator: a space, or a newline
-    # after the last color of a row
-    width = np.ones(tri.size, dtype=np.uint8)
-    for power in (10, 100, 1000, 10000):
-        width += tri >= power
-    ends = np.cumsum(width + 1, dtype=np.int64)
-    body = np.full(int(ends[-1]) if ends.size else 0, ord(" "), dtype=np.uint8)
     rows = np.arange(1, graph.n, dtype=np.int64)
-    body[ends[rows * (rows + 1) // 2 - 1] - 1] = ord("\n")
-    ends -= 2  # now each color's last digit
-    rest = tri
-    for place in range(int(width.max(initial=0))):
-        live = width > place
-        body[ends[live] - place] = ord("0") + rest[live] % 10
-        rest = rest // 10
+    if tri.max(initial=0) < 10:
+        body = np.full(2 * tri.size, ord(" "), dtype=np.uint8)
+        np.add(tri, ord("0"), out=body[::2], casting="unsafe")
+        body[rows * (rows + 1) - 1] = ord("\n")  # after the last color of row i
+    else:
+        # each color is its digits and one separator: a space, or a newline
+        # after the last color of a row
+        width = np.ones(tri.size, dtype=np.uint8)
+        for power in (10, 100, 1000, 10000):
+            width += tri >= power
+        ends = np.cumsum(width + 1, dtype=np.int64)
+        body = np.full(int(ends[-1]), ord(" "), dtype=np.uint8)
+        body[ends[rows * (rows + 1) // 2 - 1] - 1] = ord("\n")
+        ends -= 2  # now each color's last digit
+        rest = tri
+        for place in range(int(width.max())):
+            live = width > place
+            body[ends[live] - place] = ord("0") + rest[live] % 10
+            rest = rest // 10
     return f"{GCG_MAGIC}\n{graph.n} {graph.k}\n" + body.tobytes().decode("ascii")
 
 
@@ -233,7 +244,14 @@ _COMMENT_BYTES[[ord("\n"), *range(0x20, 0x7F)]] = True
 def _decode_canonical(text: str) -> ColoredCompleteGraph | None:
     """The graph of canonical text, parsed with whole-array operations, or
     None for any other text, valid or not, which the tokenizer then reads
-    and, on a fault, locates."""
+    and, on a fault, locates.
+
+    A body (the text after the header, less any comment tail) of exactly
+    n(n - 1) bytes is canonical only if every color is one digit, so it is
+    checked as fixed-width text: digits at even offsets, separators at odd
+    ones.  Any other length goes to the general parser, which finds each
+    color's width from its separators; only it reads colors of two or more
+    digits."""
     if not text.isascii():
         return None
     raw = text.encode("ascii")
@@ -255,8 +273,20 @@ def _decode_canonical(text: str) -> ColoredCompleteGraph | None:
         if (tail[np.flatnonzero(tail[:-1] == ord("\n")) + 1] != ord("#")).any():
             return None
     body = np.frombuffer(raw, dtype=np.uint8, count=stop - start, offset=start)
+    # the header is untrusted: compare lengths before sizing any array by n
+    if body.size == n * (n - 1):
+        rows = np.arange(1, n, dtype=np.int64)
+        sep = body[1::2]
+        ends = rows * (rows + 1) // 2 - 1  # each row's last color
+        if (sep[ends] != ord("\n")).any() or np.count_nonzero(sep == ord(" ")) != sep.size - ends.size:
+            return None
+        tri = body[::2] - ord("0")
+        # uint8 wraps: "0" and every byte that is not a digit land at 9 or above
+        if (tri - 1).max(initial=0) >= min(k, 9):
+            return None
+        return ColoredCompleteGraph(n, k, tri)
     if body.size == 0:
-        return ColoredCompleteGraph(n, k, []) if n == 1 else None
+        return None
     if not _BODY_BYTES[body].all() or body[0] < ord("0") or body[-1] != ord("\n"):
         return None
     sep = body <= ord(" ")  # a space or a newline ends each color

@@ -66,6 +66,17 @@ def test_construct_rejects_degenerate_t(capsys, tmp_path):
     assert "error" in report["result"]
 
 
+@pytest.mark.parametrize("k", ["2100", "70000"])
+def test_construct_refuses_an_order_no_array_holds(capsys, tmp_path, k):
+    # one blow-up per color pair: the nested recipe would outrun the recursion limit
+    out = tmp_path / "x.gcg"
+    code, report, err = run_cli(capsys, "construct", "--family", "star-plus", "-t", "4", "-k", k, "-o", str(out))
+    assert code == 2 and report["exit"] == 2
+    assert report["result"]["error"].startswith(f"t = 4, k = {k} gives a construction of more than ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_verify_clean_and_violated(capsys, tmp_path):
     out = tmp_path / "c.gcg"
     run_cli(capsys, "construct", "--family", "path-plus", "-t", "5", "-k", "2", "-o", str(out))
@@ -116,6 +127,22 @@ def test_verify_malformed_input(capsys, tmp_path):
     code, report, _ = run_cli(capsys, "verify", str(f), "--rainbow-only")
     assert code == 2
     assert "line 4" in report["result"]["error"]
+
+
+@pytest.mark.parametrize(
+    "raw, where",
+    [
+        (b"\xef\xbb\xbfgcg 1\n3 1\n1\n1 1\n", "line 1, column 1: non-ASCII byte 0xef"),  # a UTF-8 BOM
+        (b"gcg 1\r\n3 2\r\n1\r\n1 \xff\n", "line 4, column 3: non-ASCII byte 0xff"),
+    ],
+)
+def test_non_ascii_input_is_located(capsys, tmp_path, raw, where):
+    f = tmp_path / "bad.gcg"
+    f.write_bytes(raw)
+    for argv in (["verify", str(f), "--rainbow-only"], ["decompose", str(f)]):
+        code, report, _ = run_cli(capsys, *argv)
+        assert code == 2
+        assert report["result"] == {"error": f"malformed input: {where}"}
 
 
 def test_verify_refuses_an_overlong_integer(capsys, tmp_path):

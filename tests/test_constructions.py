@@ -150,6 +150,13 @@ def test_lower_bound_rejects_small_t():
         lower_bound_recipe(2, 1)
 
 
+def test_lower_bound_refuses_orders_no_array_holds():
+    # order 2*3*5^12 has about 1.1e18 edges, 3*5^13 about 6.7e18; numpy holds at most 2^62 uint16
+    assert lower_bound_recipe(4, 26).text().startswith("blowup5(")
+    with pytest.raises(ValueError, match="t = 4, k = 27 gives a construction of more than"):
+        lower_bound_recipe(4, 27)
+
+
 def test_lower_bound_avoids_both_targets():
     for t in (4, 5):
         for k in (1, 2, 3):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,6 +272,14 @@ def _encode_by_rows(g) -> str:
     return "\n".join(["gcg 1", f"{g.n} {g.k}", *rows]) + "\n"
 
 
+# one digit per color, declared with k >= 10: the fixed-width path
+ONE_DIGIT_WIDE_K = ColoredCompleteGraph(5, 12, np.arange(10) % 9 + 1)
+# only the last edge has two digits: the general path
+LAST_EDGE_TWO_DIGITS = ColoredCompleteGraph(4, 10, [1, 9, 2, 8, 3, 10])
+
+
+@example(g=ONE_DIGIT_WIDE_K)
+@example(g=LAST_EDGE_TWO_DIGITS)
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(g=wide_colorings(12))
 def test_encode_matches_the_row_join(g):
@@ -315,6 +324,20 @@ def _edit(draw, text: str) -> str:
     return text[:at] + swap + text[at + 1 :]
 
 
+class _Draws:
+    """Stands in for ``st.data()`` in an explicit example: returns the given
+    values in turn, whatever the strategy."""
+
+    def __init__(self, *values):
+        self.values = iter(values)
+
+    def draw(self, strategy):
+        return next(self.values)
+
+
+# the newline after row 1 (text offset 12) made a digit: the body keeps its length
+@example(g=ONE_DIGIT_WIDE_K, recipe=True, data=_Draws("replace", 12, "7"))
+@example(g=LAST_EDGE_TWO_DIGITS, recipe=False, data=_Draws("none"))
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
 @given(g=wide_colorings(9), recipe=st.booleans(), data=st.data())
 def test_fast_decode_agrees_with_the_tokenizer(g, recipe, data):
@@ -341,6 +364,24 @@ def test_fast_decode_takes_the_construct_file_and_one_vertex():
         text = "gcg 1\n2 1\n1\n" + tail
         assert _decode_canonical(text) is None
         assert _outcome(decode, text) == (5, 1, "unexpected data after row 1")
+
+
+def test_huge_declared_order_allocates_by_the_text():
+    # the header is untrusted: neither parser may size an array by its n
+    text = "gcg 1\n10000000 2\n1\n2 1\n"
+    tracemalloc.start()
+    try:
+        assert _decode_canonical(text) is None
+        canonical_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with pytest.raises(GcgFormatError) as exc:
+            decode(text)
+        decode_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (exc.value.line, exc.value.column) == (5, 1)
+    assert "expected row 3" in exc.value.message
+    assert canonical_peak < 1 << 20 and decode_peak < 1 << 20
 
 
 def test_new_uniform():
