@@ -3,21 +3,16 @@
 Every complete graph on at least two vertices whose coloring has no rainbow
 triangle splits into at least two parts such that at most two colors appear
 between parts and each pair of parts is joined monochromatically.  The
-extractor below searches candidate between-color sets S of size one or two:
-vertices connected by edges colored outside S must share a part, and parts
-joined by more than one color must merge.  Each used color's rows of the
-color matrix are packed into bytes once per call, and a candidate's cut
-matrix is one of these or the OR of two.  The components outside S come
-from a search over that matrix that turns a row into an int only when it
-pops the row's vertex; most candidates leave K_n connected, and the search
-stops as soon as its first component has reached every vertex.  Two parts
-are joined by one color iff every edge between them has the color of the
-edge between their first vertices, so a merge round finds the offending
-pairs by one comparison of the color matrix with its entries at the parts'
-first vertices, and the same search merges them.  Validation checks the
-parts as one exact cover over a flat vertex array, and scans them one by
-one only to name the first fault.  The rainbow check reads the graph's
-triangle census, so a graph whose detectors have run is not counted again.
+extractor tries candidate between-color sets S of one or two colors and
+takes as parts the components of the edges colored outside S, from the
+first S that leaves two or more.  They need no merging: a vertex y outside a
+component C sees C only in colors of S, and for an edge pq of C the
+triangle ypq is rainbow unless yp and yq share a color, so y sees all of C
+in one color; validating the result checks this at run time.  A candidate's
+cut matrix is a used color's packed rows or the OR of two; the search over
+it turns a row into an int only when it pops the row's vertex, and stops
+once its first component reaches every vertex.  The rainbow check reads the
+graph's triangle census, which is counted once per graph.
 """
 
 from __future__ import annotations
@@ -81,8 +76,9 @@ def _components(packed: np.ndarray) -> tuple[np.ndarray, int]:
     A popped vertex v reaches every unseen vertex outside its row, which
     becomes an int only then, read from one ``tobytes`` buffer of the whole
     matrix.  When the first component reaches every vertex, often after a
-    few pops, the search returns at once with all labels 0.  Otherwise the
-    components' masks are collected and turned into labels at the end.
+    few pops, the search returns at once with all labels 0.  Otherwise each
+    component grows from the least unseen vertex, so the labels number the
+    components in ascending order of their least vertex.
     """
     n, width = packed.shape
     # one buffer sliced by row: a row view's tobytes costs more than a slice
@@ -110,38 +106,10 @@ def _components(packed: np.ndarray) -> tuple[np.ndarray, int]:
     return np.array(labels, dtype=np.intp), len(found)
 
 
-def _merge_bichromatic(square: np.ndarray, labels: np.ndarray, count: int) -> tuple[np.ndarray, int]:
-    """Merge parts until every pair is joined by a single color.
-
-    Merging is forced and monotone (a bichromatic pair stays bichromatic when
-    either side grows), so the fixpoint does not depend on merge order; each
-    round merges the components of the graph of all offending part pairs.
-    Parts i and j are joined by one color iff every edge between them has
-    the color of the edge between their first vertices, so a round compares
-    the square with its entries at the first vertices of the two parts.
-    """
-    n = square.shape[0]
-    while count > 1:
-        first = np.unique(labels, return_index=True)[1][labels]
-        wrong = square != square[first][:, first]
-        # an edge inside a part meets the zero diagonal entry at the part's
-        # first vertex and always differs; any further difference offends
-        if np.count_nonzero(wrong) == (np.bincount(labels) ** 2).sum() - n:
-            break
-        wrong &= labels[:, None] < labels[None, :]
-        lu, lv = (labels[x] for x in np.nonzero(wrong))
-        offending = np.zeros((count, count), dtype=bool)
-        offending[lu, lv] = offending[lv, lu] = True
-        # the search joins the pairs whose bit is clear: the offending ones
-        merged, count = _components(np.packbits(~offending, axis=1, bitorder="little"))
-        labels = merged[labels]
-    return labels, count
-
-
 def _package(square: np.ndarray, labels: np.ndarray) -> GallaiPartition:
     order = np.argsort(labels, kind="stable").tolist()
     ends = np.cumsum(np.bincount(labels)).tolist()
-    parts = sorted((tuple(order[a:b]) for a, b in zip([0] + ends, ends)), key=lambda part: part[0])
+    parts = [tuple(order[a:b]) for a, b in zip([0] + ends, ends)]
     reps = [part[0] for part in parts]
     quotient = square[reps][:, reps]
     quotient.setflags(write=False)
@@ -173,9 +141,6 @@ def gallai_partition(graph: ColoredCompleteGraph) -> GallaiPartition:
         labels, count = _components(cut)
         if count < 2:
             continue
-        labels, count = _merge_bichromatic(square, labels, count)
-        if count < 2:
-            continue
         partition = _package(square, labels)
         ok, why = validate_partition(graph, partition)
         if not ok:
@@ -194,7 +159,7 @@ def validate_partition(graph: ColoredCompleteGraph, partition: GallaiPartition) 
     if why is not None:
         return False, why
     q = partition.quotient
-    if q.shape != (m, m) or (q != q.T).any() or np.diagonal(q).any():
+    if not isinstance(q, np.ndarray) or q.shape != (m, m) or (q != q.T).any() or np.diagonal(q).any():
         return False, f"quotient must be a symmetric {m}x{m} matrix with a zero diagonal"
     # every cross-part entry once, u in the lower-numbered part, row-major
     square = graph.as_square()
@@ -223,10 +188,13 @@ def _cover(n: int, parts) -> tuple[np.ndarray, str | None]:
     range, each counted once, and no empty part.  Only when it fails does a
     scan, part by part and vertex by vertex, name the first fault."""
     sizes = [len(part) for part in parts]
-    flat = np.array(list(chain.from_iterable(parts)))
+    try:
+        flat = np.array(list(chain.from_iterable(parts)))
+    except ValueError:  # sequences of unequal lengths among the vertices
+        flat = np.array([])
     if (
         flat.dtype.kind == "i"
-        and flat.size == n
+        and flat.shape == (n,)
         and min(sizes) > 0
         and flat.min() >= 0
         and flat.max() < n
@@ -240,6 +208,9 @@ def _cover(n: int, parts) -> tuple[np.ndarray, str | None]:
         if len(part) == 0:
             return labels, f"part {index} is empty"
         for v in part:
+            if not isinstance(v, (int, np.integer)):
+                return labels, f"part {index} contains non-integer vertex {v!r}"
+            v = int(v)  # a bool would index labels as a mask
             if not 0 <= v < n:
                 return labels, f"part {index} contains out-of-range vertex {v}"
             if labels[v] >= 0:

@@ -30,8 +30,6 @@ def tri_index(u: int, v: int) -> int:
 def tri_unindex(i: int) -> tuple[int, int]:
     """Inverse of tri_index: (larger endpoint, smaller endpoint)."""
     u = (1 + math.isqrt(1 + 8 * i)) // 2
-    if u * (u - 1) // 2 > i:
-        u -= 1
     return u, i - u * (u - 1) // 2
 
 

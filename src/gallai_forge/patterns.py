@@ -31,12 +31,11 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ColoredCompleteGraph
+from .graphs import ColoredCompleteGraph, tri_unindex
 
 PATTERN_KINDS = ("star-plus", "path-plus", "cycle", "path", "star", "clique")
 
@@ -217,7 +216,7 @@ def _census(graph: ColoredCompleteGraph) -> _Census:
             stop = min(edges, first + chunk)
             # the edges u > w numbered first..stop-1 in flat order, whose
             # first and last rows u may be cut short; row u holds u(u-1)/2..u(u+1)/2-1
-            u_first, u_last = (1 + math.isqrt(8 * first + 1)) // 2, (1 + math.isqrt(8 * stop - 7)) // 2
+            u_first, u_last = tri_unindex(first)[0], tri_unindex(stop - 1)[0]
             us = np.arange(u_first, u_last + 1)
             counts = us
             lead, tail = first - u_first * (u_first - 1) // 2, u_last * (u_last + 1) // 2 - stop

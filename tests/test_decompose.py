@@ -24,13 +24,12 @@ from gallai_forge.decompose import (
     GallaiPartition,
     RainbowTrianglePresent,
     _components,
-    _merge_bichromatic,
     gallai_partition,
     reduced_graph,
     validate_partition,
 )
 from gallai_forge.graphs import ColoredCompleteGraph, new_uniform
-from gallai_forge.patterns import verify_witness
+from gallai_forge.patterns import find_rainbow_triangle, verify_witness
 
 
 def test_two_clique_splits_into_the_cliques():
@@ -175,6 +174,26 @@ def test_validation_rejects_malformed_quotient(quotient):
         reduced_graph(g, p)
 
 
+@pytest.mark.parametrize(
+    "parts,quotient,why",
+    [
+        (((0, 1, 2.0), (3, 4, 5)), None, "part 0 contains non-integer vertex 2.0"),
+        (((0, 1, 2), (3, "4", 5)), None, "part 1 contains non-integer vertex '4'"),
+        (((0, 1, 2), (3, (4, 5))), None, "part 1 contains non-integer vertex (4, 5)"),
+        ((((0, 1), (2, 3)), ((4, 5),)), None, "part 0 contains non-integer vertex (0, 1)"),
+        (None, [[0, 2], [2, 0]], "quotient must be a symmetric 2x2 matrix with a zero diagonal"),
+    ],
+    ids=["float vertex", "string vertex", "nested tuple", "nested pairs", "list quotient"],
+)
+def test_validation_answers_malformed_input(parts, quotient, why):
+    g = two_clique_example(4, 1, 2)
+    good = gallai_partition(g)
+    p = GallaiPartition(parts or good.parts, good.quotient if quotient is None else quotient)
+    assert validate_partition(g, p) == (False, why)
+    with pytest.raises(ValueError, match="not a valid partition"):
+        reduced_graph(g, p)
+
+
 def test_validation_rejects_nonuniform_block():
     tri = [1, 2, 2, 2, 2, 1]  # K4: edges (1,0)=1, (2,0)=2, (2,1)=2, (3,0)=2, (3,1)=2, (3,2)=1
     g = ColoredCompleteGraph(4, 2, tri)
@@ -295,6 +314,8 @@ def test_components_outside_match_the_dense_oracle(g):
         want, want_count = _dense_components(square, color_set)
         assert count == want_count, color_set
         assert sorted(set(labels.tolist())) == list(range(count))
+        # numbered by least vertex, the order _package keeps
+        assert (np.diff(np.unique(labels, return_index=True)[1]) > 0).all()
         assert _blocks(labels) == _blocks(want), color_set
 
 
@@ -307,7 +328,7 @@ def test_every_candidate_cut_matches_the_dense_oracle():
         gallai_partition(g)
     used = g.used_colors().tolist()
     candidates = [(c,) for c in used] + list(combinations(used, 2))
-    cuts = [call.args[0] for call in spy.call_args_list if len(call.args[0]) == g.n]
+    cuts = [call.args[0] for call in spy.call_args_list]
     assert len(cuts) == len(candidates) == 15
     square = g.as_square()
     for cut, color_set in zip(cuts, candidates):
@@ -317,101 +338,53 @@ def test_every_candidate_cut_matches_the_dense_oracle():
         assert _blocks(labels) == _blocks(want), color_set
 
 
-def _scipy_merge(square: np.ndarray, labels: np.ndarray, count: int) -> tuple[np.ndarray, int, list[int]]:
-    """Reference: merge rounds through scipy components of the offending
-    part pairs; also returns how many pairs offended in each round."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    n = square.shape[0]
-    iu, iv = np.triu_indices(n, 1)
-    rounds = []
-    while count > 1:
-        pairs: dict[tuple[int, int], set[int]] = {}
-        for a, b, c in zip(labels[iu].tolist(), labels[iv].tolist(), square[iu, iv].tolist()):
-            if a != b:
-                pairs.setdefault((min(a, b), max(a, b)), set()).add(c)
-        offending = [pair for pair, colors in pairs.items() if len(colors) > 1]
-        if not offending:
-            break
-        rounds.append(len(offending))
-        rows, cols = zip(*offending)
-        joins = csr_matrix((np.ones(len(offending), dtype=bool), (rows, cols)), shape=(count, count))
-        count, merged = connected_components(joins, directed=False)
-        labels = merged[labels]
-    return labels, int(count), rounds
-
-
-def _merge_counting_rounds(square: np.ndarray, labels: np.ndarray, count: int) -> tuple[np.ndarray, int, int]:
-    """_merge_bichromatic, and how many merge rounds it took: each round
-    searches the join graph once.  A round that under-merges leaves work to
-    a later round, so the result can still be right while the count is not."""
-    with mock.patch.object(decompose, "_components", wraps=decompose._components) as spy:
-        got, got_count = _merge_bichromatic(square, labels, count)
-    return got, got_count, spy.call_count
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(g=colorings(30, 4), parts=st.lists(st.integers(0, 9), min_size=30, max_size=30))
-def test_merge_matches_scipy_components(g, parts):
-    pytest.importorskip("scipy")
-    _assert_merge_matches_scipy(g, parts[: g.n])
-
-
-def _assert_merge_matches_scipy(g: ColoredCompleteGraph, parts: list[int]) -> None:
-    _, labels = np.unique(parts, return_inverse=True)
-    count = int(labels.max()) + 1
+def _component_joins(g: ColoredCompleteGraph) -> tuple[int, int]:
+    """Over every candidate set S of one or two used colors whose outside
+    edges leave two or more components: how many candidates split, and how
+    many pairs of components are not joined by exactly one color of S."""
     square = g.as_square()
-    got, got_count, got_rounds = _merge_counting_rounds(square, labels, count)
-    want, want_count, rounds = _scipy_merge(square, labels, count)
-    assert got_count == want_count, rounds
-    assert got_rounds == len(rounds)
-    assert _blocks(got) == _blocks(want)
-    assert sorted(set(got.tolist())) == list(range(got_count))
+    used = g.used_colors().tolist()
+    splits = failures = 0
+    for color_set in [(c,) for c in used] + list(combinations(used, 2)):
+        labels, count = _components(np.packbits(np.isin(square, color_set), axis=1, bitorder="little"))
+        if count < 2:
+            continue
+        splits += 1
+        members = [np.flatnonzero(labels == x) for x in range(count)]
+        for a, b in combinations(members, 2):
+            joins = np.unique(square[np.ix_(a, b)])
+            failures += len(joins) != 1 or int(joins[0]) not in color_set
+    return splits, failures
 
 
-@st.composite
-def _many_parts(draw) -> tuple[ColoredCompleteGraph, list[int]]:
-    """A coloring on at most 40 vertices with one, two or random_gallai's
-    colors, and part labels drawn from 0..n-1, so that up to n parts start."""
-    n = draw(st.integers(2, 40))
-    size = n * (n - 1) // 2
-    g = draw(
-        st.one_of(
-            st.builds(ColoredCompleteGraph, st.just(n), st.just(2), st.lists(st.integers(1, 2), min_size=size, max_size=size)),
-            st.builds(random_gallai, st.just(n), st.integers(1, 5), st.integers(0, 2**32 - 1)),
-            st.builds(new_uniform, st.just(n), st.just(1), st.integers(1, 3)),
-        )
+_CONSTRUCTIONS = (
+    two_clique_example(4, 1, 2),
+    pentagon_k5(1, 2),
+    blow_up_5(new_uniform(3, 1, 1), 2, 3),
+    lower_bound_construction(4, 3),
+    lower_bound_construction(5, 3),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    g=st.one_of(
+        recolored_gallai(16, st.integers(0, 2)).map(lambda case: case[0]).filter(lambda g: find_rainbow_triangle(g) is None),
+        st.builds(random_gallai, st.integers(2, 40), st.integers(1, 5), st.integers(0, 2**32 - 1)),
+        st.sampled_from(_CONSTRUCTIONS),
     )
-    return g, draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+)
+def test_components_outside_a_candidate_are_joined_by_one_of_its_colors(g):
+    # the reason gallai_partition needs no merge step: without a rainbow
+    # triangle, a vertex outside a component sees all of it in one color
+    splits, failures = _component_joins(g)
+    assert splits >= 1  # some candidate splits every rainbow-free K_n, n >= 2
+    assert failures == 0
 
 
-# all singletons, and parts of two vertices that must merge
-@example(case=(new_uniform(40, 1, 2), list(range(40))))
-@example(case=(random_gallai(40, 2, 3), list(range(40))))
-@example(case=(ColoredCompleteGraph(40, 2, [1 + i % 2 for i in range(780)]), [v // 2 for v in range(40)]))
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(case=_many_parts())
-def test_merge_with_many_parts_matches_scipy_components(case):
-    pytest.importorskip("scipy")
-    _assert_merge_matches_scipy(*case)
-
-
-def test_merge_takes_rounds_with_several_offending_pairs():
-    pytest.importorskip("scipy")
-    # mostly color 1; two part pairs offend at first, and merging them
-    # makes a third offend
-    tri = [1] * 36
-    tri[5] = tri[12] = tri[18] = 3
-    tri[8] = 2
-    square = ColoredCompleteGraph(9, 3, tri).as_square()
-    labels = np.array([2, 3, 4, 1, 0, 5, 1, 0, 2])
-    got, got_count, got_rounds = _merge_counting_rounds(square, labels, 6)
-    want, want_count, rounds = _scipy_merge(square, labels, 6)
-    assert rounds == [2, 1]
-    assert got_rounds == 2
-    assert got_count == want_count == 3
-    assert _blocks(got) == _blocks(want)
+def test_a_rainbow_triangle_breaks_the_component_lemma():
+    # each pair of colors leaves one edge outside: two components joined by the pair
+    assert _component_joins(ColoredCompleteGraph(3, 3, [1, 2, 3])) == (3, 3)
 
 
 def test_partition_bytes_are_pinned():

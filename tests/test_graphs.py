@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 import tracemalloc
 
@@ -34,6 +35,17 @@ def test_tri_index_roundtrip():
             assert tri_index(v, u) == i  # order-insensitive
             assert tri_unindex(i) == (u, v)
             i += 1
+
+
+def test_tri_unindex_inverts_tri_index():
+    # math.isqrt is exact, so the row needs no correction however large i is;
+    # row u starts at u(u-1)/2, which is near 2^62 for u near 3037000500
+    starts = [u * (u - 1) // 2 for u in range(3037000497, 3037000504)]
+    near = {i for start in starts for i in range(start - 2, start + 3)}
+    for i in itertools.chain(range(10**5), range(2**62 - 100, 2**62 + 100), sorted(near)):
+        u, v = tri_unindex(i)
+        assert 0 <= v < u
+        assert tri_index(u, v) == i
 
 
 def test_iter_bits():
@@ -297,8 +309,9 @@ def _outcome(parse, text):
 def _edit(draw, text: str) -> str:
     """One of the departures from canonical text that the tokenizer must
     judge: a mutated byte, a line break of any kind, CRLF, a tab, a double
-    space, a leading zero, a non-ASCII digit or a huge declared n."""
-    edits = ["none", "replace", "insert", "delete", "break", "crlf", "tab", "double", "zero", "unicode", "huge"]
+    space, a leading zero, a non-ASCII digit, a huge declared n or a row end
+    swapped with a space, which keeps every count of the text."""
+    edits = ["none", "replace", "insert", "delete", "break", "crlf", "tab", "double", "zero", "unicode", "huge", "swap"]
     edit = draw(st.sampled_from(edits))
     if edit == "none":
         return text
@@ -315,6 +328,16 @@ def _edit(draw, text: str) -> str:
         lines = text.split("\n")
         lines[1] = f"{draw(st.sampled_from([10**9, 10**17, 10**30]))} {lines[1].split()[1]}"
         return "\n".join(lines)
+    if edit == "swap":
+        header_end = text.index("\n", text.index("\n") + 1)
+        ends = [i for i, ch in enumerate(text) if i > header_end and ch == "\n"]
+        spaces = [i for i, ch in enumerate(text) if i > header_end and ch == " "]
+        if not (ends and spaces):
+            return text
+        at, to = draw(st.sampled_from(ends)), draw(st.sampled_from(spaces))
+        chars = list(text)
+        chars[at], chars[to] = chars[to], chars[at]
+        return "".join(chars)
     # a space (tab, double) or a digit (zero, unicode) past the header line
     spots = [i for i, ch in enumerate(text) if i > 5 and (ch == " " if edit in ("tab", "double") else ch.isdigit())]
     if not spots:
@@ -337,6 +360,8 @@ class _Draws:
 
 # the newline after row 1 (text offset 12) made a digit: the body keeps its length
 @example(g=ONE_DIGIT_WIDE_K, recipe=True, data=_Draws("replace", 12, "7"))
+# "1 12\n1\n": the counts of colors and row ends are right, a row end is not
+@example(g=ColoredCompleteGraph(3, 12, [1, 12, 1]), recipe=False, data=_Draws("swap", 12, 15))
 @example(g=LAST_EDGE_TWO_DIGITS, recipe=False, data=_Draws("none"))
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
 @given(g=wide_colorings(9), recipe=st.booleans(), data=st.data())

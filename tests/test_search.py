@@ -471,6 +471,42 @@ def test_node_budget_is_exact_and_job_independent():
         assert exc.value.nodes == 80
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_node_cap_one_short_of_exhaustion_stops_the_search(jobs):
+    # S4-S4 exhausts order 7 after 95 nodes and K3-K3 order 6 after 51; the
+    # pooled prefix phase walks one node past its last prefix (23 and 19),
+    # so only the check after the fold can trip
+    for pa, pb, n, cap in [(SP4, SP4, 7, 94), (TRI, TRI, 6, 50)]:
+        with pytest.raises(BudgetExhausted) as exc:
+            search_two_color(n, pa, pb, budget=SearchBudget(max_nodes=cap), jobs=jobs)
+        assert (exc.value.reason, exc.value.nodes) == ("nodes", cap)
+
+
+def test_pooled_time_budget_stops_the_prefix_phase(monkeypatch):
+    # the deadline has passed before the first node: no subtree is handed out
+    monkeypatch.setattr(search._Run, "map", lambda *args: pytest.fail("a subtree was handed out"))
+    with pytest.raises(BudgetExhausted) as exc:
+        search_two_color(7, SP4, SP4, budget=SearchBudget(max_time=1e-9), jobs=2)
+    assert exc.value.reason == "time"
+
+
+def test_pooled_time_budget_stops_a_subtree(monkeypatch):
+    # order 13 of (S_7^+, S_7^+) takes seconds, its prefix phase milliseconds
+    handed_out = []
+    pooled_map = search._Run.map
+
+    def counting_map(run, fn, tasks):
+        handed_out.append(len(tasks))
+        return pooled_map(run, fn, tasks)
+
+    monkeypatch.setattr(search._Run, "map", counting_map)
+    sp7 = Pattern.star_plus(7)
+    with pytest.raises(BudgetExhausted) as exc:
+        search_two_color(13, sp7, sp7, budget=SearchBudget(max_time=0.3), jobs=2)
+    assert exc.value.reason == "time"
+    assert handed_out and handed_out[0] > 1
+
+
 def test_generous_node_budget_completes():
     out = search_two_color(7, SP4, SP4, budget=SearchBudget(max_nodes=10**6))
     assert out.verdict == "exhausted"
