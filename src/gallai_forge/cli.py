@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -40,6 +41,18 @@ def _env_seed() -> int:
         return int(raw) if raw else 0
     except ValueError:
         raise ValueError(f"GALLAI_FORGE_SEED must be an integer, got {raw!r}") from None
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for a float that strict JSON can echo: NaN and the
+    infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
+    return value
 
 
 def _read_text(path: str) -> str:
@@ -225,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=None, help="largest order to try")
     per_order = "for each order tried (2 up to the value), counted afresh at each: a run may spend value - 1 caps"
     p.add_argument("--max-nodes", type=int, default=None, help=f"node cap {per_order}")
-    p.add_argument("--max-seconds", type=float, default=None, help=f"time cap in seconds {per_order}")
+    p.add_argument("--max-seconds", type=_finite_float, default=None, help=f"time cap in seconds {per_order}")
     p.add_argument("--jobs", type=int, default=1, help="worker processes; changes no counter, witness or stdout byte")
     p.add_argument("--out-dir", default=".", help="directory for witness files")
     p.set_defaults(handler=_cmd_ramsey)

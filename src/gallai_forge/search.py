@@ -14,7 +14,12 @@ stars, 2t - 3 for path-plus on t vertices.  Every target is connected, so no
 arc is walked unless the new edge's component in that color, the union of its
 endpoints' components, has at least as many vertices as the target; an arc
 is walked only when both endpoints of the new edge, counting it, have at
-least the pattern degree of the roles placed on them.
+least the pattern degree of the roles placed on them.  The search keeps
+the number of triangles in each color: placing an edge adds the common
+neighbors of its endpoints in its color, and taking it off subtracts them.
+A target with a triangle (path-plus from 5 vertices, cliques from 4) has
+no copy in a color that has no triangle and gains none with the new edge,
+so there the generic checker answers before its component test.
 When both targets coincide the first edge is fixed to color 1 (color swap).
 
 Relabeling the vertices of a valid coloring gives a valid coloring, so the
@@ -62,7 +67,7 @@ from dataclasses import dataclass
 
 from .formulas import _check_family, linear_claim, size_three_divergence
 from .graphs import ColoredCompleteGraph
-from .patterns import Pattern, _plan, _walk, contains_pattern
+from .patterns import Pattern, _plan, _role_zero_on_triangle, _walk, contains_pattern
 
 # the order whose colorings are the prefixes the tree is cut into
 SPLIT_ORDER = 4
@@ -137,11 +142,19 @@ def _anchors(p: Pattern) -> tuple[tuple[int, int, int, int, tuple], ...]:
     return tuple(reps)
 
 
-def _make_checker(p: Pattern, adj: list, deg: list):
+def _make_checker(p: Pattern, adj: list, deg: list, tri: list):
     """Build hit(u, v): would giving {u, v} the color whose adjacency
     ``adj``/``deg`` describe create a copy of ``p`` through it?  The rows do
     not hold {u, v} yet, so the search tests each edge before placing it.
-    The answer does not assume that the rows are free of ``p``."""
+    The answer does not assume that the rows are free of ``p``.
+
+    ``tri[0]`` is the number of triangles the rows hold.  When ``p`` has a
+    triangle, the generic checker answers no at once if that number is 0
+    and u and v have no common neighbor: the color stays triangle-free with
+    {u, v}, so it holds no copy, and neither the reach search nor any walk
+    runs.  The star-plus checker has no such gate: without a common
+    neighbor it only scans the rows of u and v, and the gate saved no
+    measurable time there."""
     kind, size = p.kind, p.size
     if size == 3 and len(p.edges()) == 3:
         # the triangle: what the clique, cycle, star-plus and path-plus on
@@ -195,8 +208,11 @@ def _make_checker(p: Pattern, adj: list, deg: list):
     # The walk never reads {u, v} itself: u and v start out used.
     anchors = _anchors(p)
     assign = [0] * size
+    gated = _role_zero_on_triangle(p)  # the kinds with a triangle all have one at role 0
 
     def hit_generic(u: int, v: int) -> bool:
+        if gated and not tri[0] and not adj[u] & adj[v]:
+            return False
         # every pattern is connected, so a copy through {u, v} lies in the
         # component the new edge makes of theirs: it needs ``size`` vertices
         pair = reach = frontier = (1 << u) | (1 << v)
@@ -260,6 +276,7 @@ def _explore(n, p_red, p_blue, prefix, cap, deadline, reference=False):
     # per-color state, indexed by color 1 or 2
     adj = (None, [], [])
     deg = (None, [], [])
+    tri = (None, [0], [0])  # tri[c][0]: the triangles in color c
     edges = []
     col = []
     # tie[j]: the i < j whose rows still agree with row j, outside entries i
@@ -288,7 +305,11 @@ def _explore(n, p_red, p_blue, prefix, cap, deadline, reference=False):
 
     grow(n)
     leaf_level = len(edges)
-    hit = (None, _make_checker(p_red, adj[1], deg[1]), _make_checker(p_blue, adj[2], deg[2]))
+    hit = (
+        None,
+        _make_checker(p_red, adj[1], deg[1], tri[1]),
+        _make_checker(p_blue, adj[2], deg[2], tri[2]),
+    )
     # when both targets coincide the first edge is fixed to color 1 (color swap)
     if p_red == p_blue:
         top[0] = 1
@@ -307,6 +328,8 @@ def _explore(n, p_red, p_blue, prefix, cap, deadline, reference=False):
         u, v, bu, bv = edges[e]
         col[e] = c
         a = adj[c]
+        # the triangles {u, v} closes: the common neighbors in color c
+        tri[c][0] += (a[u] & a[v]).bit_count()
         a[u] |= bv
         a[v] |= bu
         deg[c][u] += 1
@@ -393,6 +416,7 @@ def _explore(n, p_red, p_blue, prefix, cap, deadline, reference=False):
         d = deg[c]
         a[u] ^= bv
         a[v] ^= bu
+        tri[c][0] -= (a[u] & a[v]).bit_count()
         d[u] -= 1
         d[v] -= 1
         if not reference:

@@ -284,15 +284,16 @@ def test_ramsey_n_max_below_value_exits_3(capsys, tmp_path):
     }
 
 
-def test_ramsey_refuses_a_nan_time_budget(capsys, tmp_path):
-    code, report, err = run_cli(
-        capsys,
-        "ramsey", "--family", "star-plus", "-t", "4",
-        "--max-seconds", "nan", "--out-dir", str(tmp_path),
-    )
-    assert code == 2 and report["exit"] == 2
-    assert report["result"]["error"] == "max_time must be positive, got nan"
-    assert "Traceback" not in err
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_ramsey_refuses_a_non_finite_time_budget(capsys, tmp_path, value):
+    # strict JSON has no NaN or Infinity to echo, so the parser refuses them
+    with pytest.raises(SystemExit) as exc:
+        main(["ramsey", "--family", "star-plus", "-t", "4", f"--max-seconds={value}", "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"invalid finite float value: '{value}'" in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_ramsey_checks_out_dir_before_searching(capsys, tmp_path):

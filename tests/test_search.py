@@ -6,7 +6,7 @@ import itertools
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gallai_forge import search
@@ -71,42 +71,58 @@ def _edges_and_rows(rows):
     return edges, rebuilt
 
 
+def _triangles(rows):
+    """The triangles that the symmetric adjacency ``rows`` hold."""
+    return sum((rows[a] & rows[b]).bit_count() for a in range(len(rows)) for b in range(a) if rows[a] >> b & 1) // 3
+
+
 def test_every_prune_is_justified(monkeypatch):
     make_checker = search._make_checker
 
-    def checked(p, adj, deg):
-        hit = make_checker(p, adj, deg)
-        states.append((adj, deg))  # the search builds color 1's checker, then color 2's
+    def checked(p, adj, deg, tri):
+        hit = make_checker(p, adj, deg, tri)
+        states.append((adj, deg, tri))  # the search builds color 1's checker, then color 2's
 
         def hit_and_check(u, v):
             # the colors hold exactly the search's edges before {u, v}, each
-            # once, with symmetric rows and their degrees; a pruned edge left
-            # in place or a stale backtrack breaks this
+            # once, with symmetric rows, their degrees and their triangle
+            # counts; a pruned edge left in place or a stale backtrack
+            # breaks this
             n = len(adj)
             order = [(a, b) for b in range(1, n) for a in range(b)]
-            (red, red_rows), (blue, blue_rows) = (_edges_and_rows(rows) for rows, _ in states[-2:])
+            (red, red_rows), (blue, blue_rows) = (_edges_and_rows(rows) for rows, _, _ in states[-2:])
             assert red | blue == set(order[: order.index((u, v))]) and not red & blue
-            assert [red_rows, blue_rows] == [rows for rows, _ in states[-2:]]
-            assert all(d == [row.bit_count() for row in rows] for rows, d in states[-2:])
-            if not hit(u, v):
-                return False
+            assert [red_rows, blue_rows] == [rows for rows, _, _ in states[-2:]]
+            assert all(d == [row.bit_count() for row in rows] for rows, d, _ in states[-2:])
+            assert all(t == [_triangles(rows)] for rows, _, t in states[-2:])
             # {u, v} and the edges in this checker's color become color 1,
-            # all others color 2
+            # all others color 2; the search keeps each color free of its
+            # target, so a copy in color 1 runs through {u, v}
             g = ColoredCompleteGraph(
                 n, 2, [1 if adj[a] >> b & 1 or (b, a) == (u, v) else 2 for a in range(1, n) for b in range(a)]
             )
-            hits.append(brute_force_find(g, p, 1) is not None)
-            return True
+            found = hit(u, v)
+            assert found == (brute_force_find(g, p, 1) is not None)
+            calls.append(found)
+            return found
 
         return hit_and_check
 
     monkeypatch.setattr(search, "_make_checker", checked)
-    for n, pa, pb in [(6, SP4, PP4), (7, SP4, SP4)]:
-        states = []  # (adjacency rows, degrees) of each checker built
-        hits = []  # whether brute force finds the target, per hit
+    # star-plus and triangle checkers, then generic ones with a triangle
+    # (path-plus 5, clique 4) and without (cycle 4)
+    for n, pa, pb in [
+        (6, SP4, PP4),
+        (7, SP4, SP4),
+        (8, PP4, Pattern.path_plus(5)),
+        (8, TRI, Pattern.clique(4)),
+        (6, Pattern.cycle(4), Pattern.cycle(4)),
+    ]:
+        states = []  # (adjacency rows, degrees, triangle count) of each checker built
+        calls = []  # the answer of each call
         out = search_two_color(n, pa, pb)
-        assert all(hits)
-        assert len(hits) == out.prunes > 0
+        assert sum(calls) == out.prunes > 0
+        assert len(calls) == out.nodes
 
 
 def _copy_through_edge(p, color_of, n, u, v, c):
@@ -120,15 +136,22 @@ def _copy_through_edge(p, color_of, n, u, v, c):
     return False
 
 
-def _assert_checker_matches_oracle(p, n, data, palette):
-    # a partial 2-coloring (0 = not yet assigned) about to give {u, v} color
-    # c: the checker's rows omit {u, v}, the oracle's coloring has it in c;
-    # the other pairs draw their colors from ``palette(c)``
-    c = data.draw(st.sampled_from((1, 2)))
+@st.composite
+def _partial_colorings(draw, sizes, palette):
+    """A partial 2-coloring of K_n (0 = not yet assigned), as its colors in
+    pair order, about to give {u, v} color c: (n, c, colors, (u, v)).  The
+    other pairs draw their colors from ``palette(c)``."""
+    n = draw(sizes)
+    c = draw(st.sampled_from((1, 2)))
     pairs = list(itertools.combinations(range(n), 2))
-    colors = data.draw(st.lists(st.sampled_from(palette(c)), min_size=len(pairs), max_size=len(pairs)))
-    u, v = data.draw(st.sampled_from(pairs))
-    color_of = {frozenset(e): col for e, col in zip(pairs, colors)}
+    colors = draw(st.lists(st.sampled_from(palette(c)), min_size=len(pairs), max_size=len(pairs)))
+    return n, c, colors, draw(st.sampled_from(pairs))
+
+
+def _assert_checker_matches_oracle(p, case):
+    # the checker's rows omit {u, v}, the oracle's coloring has it in c
+    n, c, colors, (u, v) = case
+    color_of = {frozenset(e): col for e, col in zip(itertools.combinations(range(n), 2), colors)}
     color_of[frozenset((u, v))] = c
     adj = [0] * n
     deg = [0] * n
@@ -139,33 +162,33 @@ def _assert_checker_matches_oracle(p, n, data, palette):
             adj[b] |= 1 << a
             deg[a] += 1
             deg[b] += 1
-    hit = search._make_checker(p, adj, deg)
+    hit = search._make_checker(p, adj, deg, [_triangles(adj)])
     expected = _copy_through_edge(p, color_of, n, u, v, c)
     assert hit(u, v) == expected
     assert hit(v, u) == expected
 
 
+PATTERNS_TO_FIVE = st.builds(Pattern, st.sampled_from(PATTERN_KINDS), st.integers(3, 5))
+
+
+# color 1 on the path 0-1-2-3-4 has no triangle, and {0, 2} closes one
+@example(p=Pattern.path_plus(5), case=(5, 1, [1, 0, 0, 0, 1, 0, 0, 1, 0, 1], (0, 2)))
+# color 1 has the triangle 0-1-2, and {3, 4} has no common neighbor
+@example(p=Pattern.path_plus(5), case=(5, 1, [1, 1, 0, 0, 1, 0, 0, 1, 0, 0], (3, 4)))
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(
-    p=st.builds(Pattern, st.sampled_from(PATTERN_KINDS), st.integers(3, 5)),
-    n=st.integers(2, 7),
-    data=st.data(),
-)
-def test_checker_matches_permutation_oracle(p, n, data):
+@given(p=PATTERNS_TO_FIVE, case=_partial_colorings(st.integers(2, 7), lambda c: (c, c, c, 3 - c, 0)))
+def test_checker_matches_permutation_oracle(p, case):
     # c is drawn more often than the rest so that copies occur
-    _assert_checker_matches_oracle(p, n, data, lambda c: (c, c, c, 3 - c, 0))
+    _assert_checker_matches_oracle(p, case)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(
-    p=st.builds(Pattern, st.sampled_from(PATTERN_KINDS), st.integers(3, 5)),
-    n=st.integers(5, 9),
-    data=st.data(),
-)
-def test_checker_matches_permutation_oracle_on_sparse_colors(p, n, data):
+@given(p=PATTERNS_TO_FIVE, case=_partial_colorings(st.integers(5, 9), lambda c: (c, 3 - c, 0, 0)))
+def test_checker_matches_permutation_oracle_on_sparse_colors(p, case):
     # color c is sparse, so it often falls apart into components too small
-    # for p, where the generic checker answers before it walks an arc
-    _assert_checker_matches_oracle(p, n, data, lambda c: (c, 3 - c, 0, 0))
+    # for p, where the generic checker answers before it walks an arc, or
+    # has no triangle, where checkers for targets with one answer at once
+    _assert_checker_matches_oracle(p, case)
 
 
 # the sha256 of each pinned pair's witness GCG bytes: the default search and
@@ -178,6 +201,9 @@ WITNESS_SHA256 = {
     "S4-S4": "52b191a7c883e1202e5c2b1fec05e0ee9a1745042ac8cb1327c7b2bd80b5f3de",
     "S5-S5": "c22839c614192022780b0b6e4e7ab8efc65d8501ca010715ebf79180d0a3c179",
     "S4-S6": "2f18e90387cc0b198a629e27c00239761c60ed85329a5c504359f6f96c5c0b66",
+    "P5-P6": "2f18e90387cc0b198a629e27c00239761c60ed85329a5c504359f6f96c5c0b66",
+    "P6-P6": "7147d3b66d2a3fc59e15b6e700d9ab37c13119a0c6acafb39d1f76c92fbadaa7",
+    "K3-K4": "8edec86245c53127ab491cc3d18d546259d80c16ac8d75b06417af9e23fa3d4b",
 }
 
 
@@ -193,6 +219,9 @@ PINNED_PAIRS = {
     "S4-S4": (SP4, SP4, 7),
     "S5-S5": (Pattern.star_plus(5), Pattern.star_plus(5), 9),
     "S4-S6": (SP4, Pattern.star_plus(6), 11),
+    "P5-P6": (Pattern.path_plus(5), Pattern.path_plus(6), 11),
+    "P6-P6": (Pattern.path_plus(6), Pattern.path_plus(6), 11),
+    "K3-K4": (TRI, Pattern.clique(4), 9),
 }
 
 
@@ -213,11 +242,14 @@ def _pins(rows):
 
 
 # the plain DFS's (nodes, prunes) at the witness and exhausted orders, for
-# pairs the generic checker serves
+# pairs the generic checker serves, with its triangle gate (all but C5-C5)
 @_pins([
     ("C5-C5", (285, 136), (57181, 28591)),
     ("P5-P5", (44, 16), (3463, 1732)),
     ("P4-P5", (80, 32), (2768, 1385)),
+    ("P5-P6", (3001, 1488), (23938, 11970)),
+    ("P6-P6", (70, 25), (30727, 15364)),
+    ("K3-K4", (1512, 750), (2540750, 1270376)),
 ])
 def test_generic_checker_counters_are_pinned(name, witness_counts, exhausted_counts):
     _assert_pinned(name, witness_counts, exhausted_counts, reference=True)
@@ -244,6 +276,9 @@ def test_bitmask_checker_counters_are_pinned(name, witness_counts, exhausted_cou
     ("S4-S4", (16, 1), (95, 31)),
     ("S5-S5", (29, 1), (513, 163)),
     ("S4-S6", (86, 10), (1509, 467)),
+    ("P5-P6", (247, 61), (466, 141)),
+    ("P6-P6", (46, 1), (776, 242)),
+    ("K3-K4", (231, 72), (1609, 560)),
 ])
 def test_symmetry_pruned_counters_are_pinned(name, witness_counts, exhausted_counts):
     _assert_pinned(name, witness_counts, exhausted_counts, reference=False)
@@ -420,6 +455,24 @@ def test_path_plus_seven_certifies_thirteen():
     cert = ramsey_number(Pattern.path_plus(7), Pattern.path_plus(7), n_max=14)
     assert cert.value == 13
     assert (cert.exhausted_outcome.nodes, cert.exhausted_outcome.prunes) == (4477, 1418)
+
+
+def test_triangle_gate_spares_the_walks(monkeypatch):
+    # a color with no triangle, which {u, v} leaves without one, holds no
+    # path-plus: the generic checker answers without walking; without that
+    # gate the same search walks 1,850 times
+    pp6 = Pattern.path_plus(6)
+    search._anchors(pp6)  # its own walks happen once per process
+    walks = []
+    walk = search._walk
+
+    def counted(*args):
+        walks.append(None)
+        return walk(*args)
+
+    monkeypatch.setattr(search, "_walk", counted)
+    assert ramsey_number(pp6, pp6, n_max=11).value == 11
+    assert len(walks) == 939
 
 
 def test_star_plus_six_exhausts_eleven():
