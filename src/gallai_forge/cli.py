@@ -21,7 +21,7 @@ import os
 import sys
 import time
 
-from .constructions import lower_bound_recipe, random_gallai
+from .constructions import lower_bound_construction, lower_bound_recipe, random_gallai
 from .decompose import RainbowTrianglePresent, gallai_partition
 from .formulas import (
     TARGET_FAMILIES,
@@ -78,8 +78,8 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _cmd_construct(args: argparse.Namespace):
+    graph = lower_bound_construction(args.t, args.k)  # refuses a build larger than memory
     recipe = lower_bound_recipe(args.t, args.k)
-    graph = recipe.build()
     path = args.output or f"construction-{args.family}-t{args.t}-k{args.k}.gcg"
     _write_text(path, encode(graph) + f"# recipe: {recipe.text()}\n")
     threshold = describe_gr(args.family, args.t, args.k)["value"]

@@ -11,6 +11,7 @@ orders sharp.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
 from typing import Union
@@ -139,8 +140,39 @@ def lower_bound_recipe(t: int, k: int) -> ConstructionRecipe:
     return recipe
 
 
+def _peak_bytes(t: int, k: int) -> int:
+    """Peak memory of building the (t, k) lower-bound construction and
+    encoding it as GCG text."""
+    # bytes per entry of the order-by-order color matrix: the construct
+    # command's traced peak is 5.12 while every color has one digit
+    # (k <= 9), 12.2 at k = 10, where the general writer's int64 offsets
+    # run, and 13.5 once every color has two; resident memory ran up to a
+    # tenth above the traced peak
+    per_entry = 6 if k < 10 else 15
+    order = gr_value("star-plus", t, k) - 1
+    return per_entry * order * order
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    if "SC_PHYS_PAGES" not in getattr(os, "sysconf_names", {}):
+        return None
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def lower_bound_construction(t: int, k: int) -> ColoredCompleteGraph:
-    return lower_bound_recipe(t, k).build()
+    """Build ``lower_bound_recipe(t, k)``.  A (t, k) whose build and GCG
+    encoding would need more than the machine's physical memory is refused
+    with MemoryError before anything is built, rather than being killed by
+    the kernel part way."""
+    recipe = lower_bound_recipe(t, k)
+    need, memory = _peak_bytes(t, k), _physical_memory()
+    if memory is not None and need > memory:
+        raise MemoryError(
+            f"t = {t}, k = {k} needs about {need / 2**30:.1f} GiB to build and encode, "
+            f"more than the {memory / 2**30:.1f} GiB of physical memory"
+        )
+    return recipe.build()
 
 
 def _fill_random(sq: np.ndarray, lo: int, hi: int, k: int, rng: random.Random) -> None:

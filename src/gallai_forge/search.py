@@ -14,9 +14,10 @@ stars, 2t - 3 for path-plus on t vertices.  Every target is connected, so no
 arc is walked unless the new edge's component in that color, the union of its
 endpoints' components, has at least as many vertices as the target; an arc
 is walked only when both endpoints of the new edge, counting it, have at
-least the pattern degree of the roles placed on them.  The search keeps
-the number of triangles in each color: placing an edge adds the common
-neighbors of its endpoints in its color, and taking it off subtracts them.
+least the pattern degree of the roles placed on them.  The search keeps the
+placed colors, the row rule's ties and, per color, adjacency rows (degrees
+are their popcounts) and the triangle count, which placing an edge raises by
+its endpoints' common neighbors in its color and taking it off lowers again.
 A target with a triangle (path-plus from 5 vertices, cliques from 4) has
 no copy in a color that has no triangle and gains none with the new edge,
 so there the generic checker answers before its component test.
@@ -142,11 +143,11 @@ def _anchors(p: Pattern) -> tuple[tuple[int, int, int, int, tuple], ...]:
     return tuple(reps)
 
 
-def _make_checker(p: Pattern, adj: list, deg: list, tri: list):
-    """Build hit(u, v): would giving {u, v} the color whose adjacency
-    ``adj``/``deg`` describe create a copy of ``p`` through it?  The rows do
-    not hold {u, v} yet, so the search tests each edge before placing it.
-    The answer does not assume that the rows are free of ``p``.
+def _make_checker(p: Pattern, adj: list, tri: list):
+    """Build hit(u, v): would giving {u, v} the color whose adjacency rows
+    ``adj`` describe create a copy of ``p`` through it?  The rows do not
+    hold {u, v} yet, so the search tests each edge before placing it.  The
+    answer does not assume that the rows are free of ``p``.
 
     ``tri[0]`` is the number of triangles the rows hold.  When ``p`` has a
     triangle, the generic checker answers no at once if that number is 0
@@ -177,22 +178,24 @@ def _make_checker(p: Pattern, adj: list, deg: list, tri: list):
         def hit_star_plus(u: int, v: int) -> bool:
             au = adj[u]
             av = adj[v]
+            u_center = au.bit_count() >= need_before
+            v_center = av.bit_count() >= need_before
             common = au & av
-            if common and (deg[u] >= need_before or deg[v] >= need_before):
+            if common and (u_center or v_center):
                 return True
             while common:
                 low = common & -common
-                if deg[low.bit_length() - 1] >= need:
+                if adj[low.bit_length() - 1].bit_count() >= need:
                     return True
                 common ^= low
-            if deg[u] >= need_before:
+            if u_center:
                 rest = au
                 while rest:
                     low = rest & -rest
                     if adj[low.bit_length() - 1] & au:
                         return True
                     rest ^= low
-            if deg[v] >= need_before:
+            if v_center:
                 rest = av
                 while rest:
                     low = rest & -rest
@@ -226,8 +229,8 @@ def _make_checker(p: Pattern, adj: list, deg: list, tri: list):
                 return False
             frontier = grown ^ reach
             reach = grown
-        du = deg[u]
-        dv = deg[v]
+        du = adj[u].bit_count()
+        dv = adj[v].bit_count()
         for a, b, need_a, need_b, steps in anchors:
             # roles a and b cannot land on u and v without their pattern
             # degree, the new edge included
@@ -251,7 +254,10 @@ MAX_STRIDE = 8192
 def _explore(n, p_red, p_blue, prefix, cap, deadline, reference=False):
     """Iterative DFS of the order-n tree from a fixed valid prefix, as a
     generator.  Each color is tested on an edge before it is placed, so
-    a pruned node leaves the coloring untouched.
+    a pruned node leaves the coloring untouched.  Its state is each color's
+    rows ``adj`` and triangle count ``tri``, each level's color ``col``, and
+    ``tie`` and ``saved`` for the row rule.  A level's next color is
+    ``floor`` of it on arrival and one above its color after a backtrack.
 
     Unless ``reference``, the row rule holds: for i < j, row i outside
     entries i and j is lexicographically at most row j.  Edge (u, v) is
@@ -275,7 +281,6 @@ def _explore(n, p_red, p_blue, prefix, cap, deadline, reference=False):
     """
     # per-color state, indexed by color 1 or 2
     adj = (None, [], [])
-    deg = (None, [], [])
     tri = (None, [0], [0])  # tri[c][0]: the triangles in color c
     edges = []
     col = []
@@ -284,9 +289,6 @@ def _explore(n, p_red, p_blue, prefix, cap, deadline, reference=False):
     # saved[e]: (tie[u], tie[v]) from before edge e = (u, v) was placed
     tie = []
     saved = []
-    # the last color tried per level, and the next color to try
-    top = [2]
-    nxt = [1]
     blue = adj[2]
 
     def grow(m):
@@ -295,24 +297,16 @@ def _explore(n, p_red, p_blue, prefix, cap, deadline, reference=False):
             edges.extend((u, v, 1 << u, 1 << v) for u in range(v))
             for c in (1, 2):
                 adj[c].append(0)
-                deg[c].append(0)
             tie.append((1 << v) - 1)
         added = len(edges) - len(col)
         col.extend([0] * added)
         saved.extend([None] * added)
-        top.extend([2] * added)
-        nxt.extend([1] * added)
 
     grow(n)
     leaf_level = len(edges)
-    hit = (
-        None,
-        _make_checker(p_red, adj[1], deg[1], tri[1]),
-        _make_checker(p_blue, adj[2], deg[2], tri[2]),
-    )
+    hit = (None, _make_checker(p_red, adj[1], tri[1]), _make_checker(p_blue, adj[2], tri[2]))
     # when both targets coincide the first edge is fixed to color 1 (color swap)
-    if p_red == p_blue:
-        top[0] = 1
+    swap = 0 if p_red == p_blue else -1
 
     def floor(e):
         # the first color level e may take, once edges 0..e - 1 are placed:
@@ -332,8 +326,6 @@ def _explore(n, p_red, p_blue, prefix, cap, deadline, reference=False):
         tri[c][0] += (a[u] & a[v]).bit_count()
         a[u] |= bv
         a[v] |= bu
-        deg[c][u] += 1
-        deg[c][v] += 1
         if not reference:
             # rows that differ at the new entry are no longer tied
             saved[e] = tie[u], tie[v]
@@ -343,7 +335,7 @@ def _explore(n, p_red, p_blue, prefix, cap, deadline, reference=False):
     for e, c in enumerate(prefix):
         place(e, c)
     base = len(prefix)
-    nxt[base] = floor(base)
+    c = floor(base)  # the next color to try at ``level``
     nodes = 0
     prunes = 0
     truncated = None
@@ -375,8 +367,7 @@ def _explore(n, p_red, p_blue, prefix, cap, deadline, reference=False):
     while True:
         if level < leaf_level:
             u, v, bu, bv = edges[level]
-            c = nxt[level]
-            last = top[level]
+            last = 1 if level == swap else 2
             while c <= last:
                 nodes += 1
                 if nodes >= check_at:
@@ -390,10 +381,9 @@ def _explore(n, p_red, p_blue, prefix, cap, deadline, reference=False):
             if truncated is not None:
                 break
             if c <= last:
-                nxt[level] = c + 1
                 place(level, c)
                 level += 1
-                nxt[level] = floor(level)
+                c = floor(level)
                 continue
         else:
             deeper = yield tuple(col), nodes, prunes, None
@@ -403,7 +393,7 @@ def _explore(n, p_red, p_blue, prefix, cap, deadline, reference=False):
                 m, deadline = deeper
                 grow(m)
                 leaf_level = len(edges)
-                nxt[level] = floor(level)
+                c = floor(level)
                 stride, seen, check_at = 1, (nodes, clock()), nodes + 1
                 continue
         # backtrack: take the edge at level - 1 off
@@ -413,14 +403,12 @@ def _explore(n, p_red, p_blue, prefix, cap, deadline, reference=False):
         u, v, bu, bv = edges[level]
         c = col[level]
         a = adj[c]
-        d = deg[c]
         a[u] ^= bv
         a[v] ^= bu
         tri[c][0] -= (a[u] & a[v]).bit_count()
-        d[u] -= 1
-        d[v] -= 1
         if not reference:
             tie[u], tie[v] = saved[level]
+        c += 1
     yield None, nodes, prunes, truncated
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gallai_forge import repro
+from gallai_forge import constructions, repro
 from gallai_forge.cli import main
 from gallai_forge.constructions import random_gallai
 from gallai_forge.graphs import MAX_COLOR, decode, encode, new_uniform
@@ -73,6 +73,16 @@ def test_construct_refuses_an_order_no_array_holds(capsys, tmp_path, k):
     code, report, err = run_cli(capsys, "construct", "--family", "star-plus", "-t", "4", "-k", k, "-o", str(out))
     assert code == 2 and report["exit"] == 2
     assert report["result"]["error"].startswith(f"t = 4, k = {k} gives a construction of more than ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_construct_refuses_a_build_larger_than_memory(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(constructions, "_physical_memory", lambda: 2**10)
+    out = tmp_path / "x.gcg"
+    code, report, err = run_cli(capsys, "construct", "--family", "star-plus", "-t", "4", "-k", "5", "-o", str(out))
+    assert code == 2 and report["exit"] == 2
+    assert report["result"]["error"].startswith("t = 4, k = 5 needs about 0.0 GiB to build and encode, more than ")
     assert "Traceback" not in err
     assert not out.exists()
 

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import argparse
+import contextlib
 import hashlib
+import io
 import random
+import tracemalloc
 
 import pytest
 
+from gallai_forge import cli, constructions
 from gallai_forge.constructions import (
     BlowUp5Recipe,
     TwoCliqueRecipe,
@@ -155,6 +160,37 @@ def test_lower_bound_refuses_orders_no_array_holds():
     assert lower_bound_recipe(4, 26).text().startswith("blowup5(")
     with pytest.raises(ValueError, match="t = 4, k = 27 gives a construction of more than"):
         lower_bound_recipe(4, 27)
+
+
+def test_lower_bound_refuses_a_build_larger_than_memory(monkeypatch):
+    # with 8 GiB, (4, 12) needs about 4.9 GiB and (4, 13) about 31; neither is built
+    monkeypatch.setattr(constructions, "_physical_memory", lambda: 8 * 2**30)
+    monkeypatch.setattr(BlowUp5Recipe, "build", lambda recipe: recipe)
+    assert lower_bound_construction(4, 12).text() == lower_bound_recipe(4, 12).text()
+    refusal = r"t = 4, k = 13 needs about 30\.7 GiB to build and encode, more than the 8\.0 GiB of physical memory"
+    with pytest.raises(MemoryError, match=refusal):
+        lower_bound_construction(4, 13)
+
+
+def test_lower_bound_builds_where_memory_is_unknown(monkeypatch):
+    monkeypatch.setattr(constructions, "_physical_memory", lambda: None)
+    assert lower_bound_construction(4, 3).n == 15
+
+
+@pytest.mark.parametrize("k", [9, 10])
+def test_peak_estimate_covers_the_traced_construct_command(tmp_path, k):
+    # the estimate that the refusal uses bounds what the construct command
+    # allocates, on both encode paths: one-digit colors (k = 9, order 1875)
+    # and two-digit ones (k = 10, order 3750, about 170 MB)
+    args = argparse.Namespace(family="star-plus", t=4, k=k, output=str(tmp_path / "c.gcg"))
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            cli._cmd_construct(args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= constructions._peak_bytes(4, k)
 
 
 def test_lower_bound_avoids_both_targets():

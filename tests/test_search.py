@@ -79,22 +79,20 @@ def _triangles(rows):
 def test_every_prune_is_justified(monkeypatch):
     make_checker = search._make_checker
 
-    def checked(p, adj, deg, tri):
-        hit = make_checker(p, adj, deg, tri)
-        states.append((adj, deg, tri))  # the search builds color 1's checker, then color 2's
+    def checked(p, adj, tri):
+        hit = make_checker(p, adj, tri)
+        states.append((adj, tri))  # the search builds color 1's checker, then color 2's
 
         def hit_and_check(u, v):
             # the colors hold exactly the search's edges before {u, v}, each
-            # once, with symmetric rows, their degrees and their triangle
-            # counts; a pruned edge left in place or a stale backtrack
-            # breaks this
+            # once, with symmetric rows and their triangle counts; a pruned
+            # edge left in place or a stale backtrack breaks this
             n = len(adj)
             order = [(a, b) for b in range(1, n) for a in range(b)]
-            (red, red_rows), (blue, blue_rows) = (_edges_and_rows(rows) for rows, _, _ in states[-2:])
+            (red, red_rows), (blue, blue_rows) = (_edges_and_rows(rows) for rows, _ in states[-2:])
             assert red | blue == set(order[: order.index((u, v))]) and not red & blue
-            assert [red_rows, blue_rows] == [rows for rows, _, _ in states[-2:]]
-            assert all(d == [row.bit_count() for row in rows] for rows, d, _ in states[-2:])
-            assert all(t == [_triangles(rows)] for rows, _, t in states[-2:])
+            assert [red_rows, blue_rows] == [rows for rows, _ in states[-2:]]
+            assert all(t == [_triangles(rows)] for rows, t in states[-2:])
             # {u, v} and the edges in this checker's color become color 1,
             # all others color 2; the search keeps each color free of its
             # target, so a copy in color 1 runs through {u, v}
@@ -118,7 +116,7 @@ def test_every_prune_is_justified(monkeypatch):
         (8, TRI, Pattern.clique(4)),
         (6, Pattern.cycle(4), Pattern.cycle(4)),
     ]:
-        states = []  # (adjacency rows, degrees, triangle count) of each checker built
+        states = []  # (adjacency rows, triangle count) of each checker built
         calls = []  # the answer of each call
         out = search_two_color(n, pa, pb)
         assert sum(calls) == out.prunes > 0
@@ -154,15 +152,12 @@ def _assert_checker_matches_oracle(p, case):
     color_of = {frozenset(e): col for e, col in zip(itertools.combinations(range(n), 2), colors)}
     color_of[frozenset((u, v))] = c
     adj = [0] * n
-    deg = [0] * n
     for e, col in color_of.items():
         if col == c and e != {u, v}:
             a, b = e
             adj[a] |= 1 << b
             adj[b] |= 1 << a
-            deg[a] += 1
-            deg[b] += 1
-    hit = search._make_checker(p, adj, deg, [_triangles(adj)])
+    hit = search._make_checker(p, adj, [_triangles(adj)])
     expected = _copy_through_edge(p, color_of, n, u, v, c)
     assert hit(u, v) == expected
     assert hit(v, u) == expected
