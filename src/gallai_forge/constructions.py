@@ -18,7 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .formulas import gr_value
+from .formulas import _largest_k, gr_value
 from .graphs import ColoredCompleteGraph, new_uniform
 
 # the most uint16 edge colors that one numpy array can hold
@@ -124,8 +124,8 @@ def lower_bound_recipe(t: int, k: int) -> ConstructionRecipe:
         raise ValueError(f"need t >= 4, got {t}; the t = 3 target degenerates to the triangle")
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    order = gr_value("star-plus", t, k) - 1
-    if order * (order - 1) // 2 > _MAX_EDGES:
+    # decided from k: the order of a large k takes minutes to compute
+    if k > _largest_k("star-plus", t, lambda value: (value - 1) * (value - 2) // 2 <= _MAX_EDGES):
         raise ValueError(
             f"t = {t}, k = {k} gives a construction of more than {_MAX_EDGES} edges, more than one array holds"
         )
@@ -140,16 +140,16 @@ def lower_bound_recipe(t: int, k: int) -> ConstructionRecipe:
     return recipe
 
 
-def _peak_bytes(t: int, k: int) -> int:
-    """Peak memory of building the (t, k) lower-bound construction and
-    encoding it as GCG text."""
+def _peak_bytes(order: int, k: int) -> int:
+    """Peak memory of building a k-coloring of K_order, by
+    ``lower_bound_construction`` or ``random_gallai``, and encoding it as
+    GCG text."""
     # bytes per entry of the order-by-order color matrix: the construct
     # command's traced peak is 5.12 while every color has one digit
     # (k <= 9), 12.2 at k = 10, where the general writer's int64 offsets
-    # run, and 13.5 once every color has two; resident memory ran up to a
-    # tenth above the traced peak
+    # run, and 13.5 once every color has two; the random command's is 5.0
+    # at k = 3; resident memory ran up to a tenth above the traced peak
     per_entry = 6 if k < 10 else 15
-    order = gr_value("star-plus", t, k) - 1
     return per_entry * order * order
 
 
@@ -160,18 +160,24 @@ def _physical_memory() -> int | None:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+def _refuse_beyond_memory(order: int, k: int, request: str) -> None:
+    """Raise MemoryError, naming ``request``, when building a k-coloring of
+    K_order and encoding it would need more than physical memory, rather
+    than being killed by the kernel part way."""
+    need, memory = _peak_bytes(order, k), _physical_memory()
+    if memory is not None and need > memory:
+        raise MemoryError(
+            f"{request} about {need / 2**30:.1f} GiB to build and encode, "
+            f"more than the {memory / 2**30:.1f} GiB of physical memory"
+        )
+
+
 def lower_bound_construction(t: int, k: int) -> ColoredCompleteGraph:
     """Build ``lower_bound_recipe(t, k)``.  A (t, k) whose build and GCG
     encoding would need more than the machine's physical memory is refused
-    with MemoryError before anything is built, rather than being killed by
-    the kernel part way."""
+    with MemoryError before anything is built."""
     recipe = lower_bound_recipe(t, k)
-    need, memory = _peak_bytes(t, k), _physical_memory()
-    if memory is not None and need > memory:
-        raise MemoryError(
-            f"t = {t}, k = {k} needs about {need / 2**30:.1f} GiB to build and encode, "
-            f"more than the {memory / 2**30:.1f} GiB of physical memory"
-        )
+    _refuse_beyond_memory(gr_value("star-plus", t, k) - 1, k, f"t = {t}, k = {k} needs")
     return recipe.build()
 
 
@@ -201,12 +207,16 @@ def random_gallai(n: int, k: int, seed: int) -> ColoredCompleteGraph:
     uniform composition), color each part pair with one of two colors drawn
     from 1..k, recurse into the parts.  Any 2-coloring of the quotient is
     rainbow-free, and substitution preserves that, so no rejection step is
-    needed.  Monochromatic triangles are allowed and common.
+    needed.  Monochromatic triangles are allowed and common.  An (n, k)
+    whose build and GCG encoding would need more than the machine's
+    physical memory is refused with MemoryError before anything is
+    allocated.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
+    _refuse_beyond_memory(n, k, f"n = {n}, k = {k} would allocate")
     rng = random.Random(seed)
     sq = np.zeros((n, n), dtype=np.uint16)
     if n > 1:

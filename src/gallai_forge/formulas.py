@@ -9,6 +9,7 @@ triangle, whose two-color Ramsey number is 6, not 2*3 - 1.
 from __future__ import annotations
 
 import sys
+from collections.abc import Callable
 
 TARGET_FAMILIES = ("star-plus", "path-plus")
 
@@ -37,6 +38,21 @@ def gr_value(family: str, t: int, k: int) -> int:
     if k % 2 == 0:
         return 2 * (t - 1) * 5 ** ((k - 2) // 2) + 1
     return (t - 1) * 5 ** ((k - 1) // 2) + 1
+
+
+def _largest_k(family: str, t: int, accepts: Callable[[int], bool]) -> int:
+    """The largest k whose ``gr_value`` the predicate ``accepts``, or 0 if it
+    accepts none; it must accept every value below one it accepts.  k
+    doubles from 1 and then bisects, so no value it computes has much more
+    than twice the digits of the largest accepted one, whatever k a caller
+    holds it against."""
+    lo, hi = 0, 1  # lo is accepted (or 0), hi is not known to be
+    while accepts(gr_value(family, t, hi)):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if accepts(gr_value(family, t, mid)) else (lo, mid)
+    return lo
 
 
 def ramsey_value(family: str, s: int, t: int) -> int:
@@ -107,20 +123,19 @@ def even_cycle_gr_bounds(n: int, k: int) -> tuple[int, int]:
 def describe_gr(family: str, t: int, k: int) -> dict:
     """The value with its branch.  Raises ValueError, naming the largest k
     accepted for this t, when the value has more decimal digits than the
-    interpreter will print."""
-    value = gr_value(family, t, k)
+    interpreter will print.  The refusal is decided from k, before the
+    value is computed: a large k's value takes minutes to compute."""
     # Python 3.10 before 3.10.7 prints integers of any length
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if digits and value >= 10**digits:
-        lo, hi = 0, k  # the value grows with k: lo is accepted (or 0), hi is not
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if gr_value(family, t, mid) < 10**digits else (lo, mid)
-        raise ValueError(
-            f"k = {k} gives a value of more than {digits} decimal digits; "
-            f"the largest k accepted for this t is {lo}"
-        )
-    return {"value": value, "branch": "even-k" if k % 2 == 0 else "odd-k"}
+    if digits:
+        limit = 10**digits
+        largest = _largest_k(family, t, lambda value: value < limit)
+        if k > largest:
+            raise ValueError(
+                f"k = {k} gives a value of more than {digits} decimal digits; "
+                f"the largest k accepted for this t is {largest}"
+            )
+    return {"value": gr_value(family, t, k), "branch": "even-k" if k % 2 == 0 else "odd-k"}
 
 
 def describe_ramsey(family: str, s: int, t: int) -> dict:

@@ -6,10 +6,10 @@ A branch is cut as soon as the partial coloring would contain the first
 target in color 1 or the second in color 2.  Each color is tested on the next
 edge before the edge is placed: only copies through that edge can be new, so
 each node tests only those instead of scanning the whole coloring, and a
-pruned color never touches the coloring.  Triangles, of any kind, and
-star-plus get bitmask tests.  Every other target anchors the new edge on one
-ordered pattern edge (arc) per orbit of the target's automorphism group and
-walks the remaining roles from there: one arc for cycles and cliques, two for
+pruned color never touches the coloring.  Star-plus from 4 vertices gets a
+bitmask test.  Every other target anchors the new edge on one ordered
+pattern edge (arc) per orbit of the target's automorphism group and walks
+the remaining roles from there: one arc for cycles and cliques, two for
 stars, 2t - 3 for path-plus on t vertices.  Every target is connected, so no
 arc is walked unless the new edge's component in that color, the union of its
 endpoints' components, has at least as many vertices as the target; an arc
@@ -18,9 +18,9 @@ least the pattern degree of the roles placed on them.  The search keeps the
 placed colors, the row rule's ties and, per color, adjacency rows (degrees
 are their popcounts) and the triangle count, which placing an edge raises by
 its endpoints' common neighbors in its color and taking it off lowers again.
-A target with a triangle (path-plus from 5 vertices, cliques from 4) has
-no copy in a color that has no triangle and gains none with the new edge,
-so there the generic checker answers before its component test.
+A target with a triangle (any on 3 vertices, path-plus from 5, cliques from
+4) has no copy in a color that has no triangle and gains none with the new
+edge, so there the generic checker answers before its component test.
 When both targets coincide the first edge is fixed to color 1 (color swap).
 
 Relabeling the vertices of a valid coloring gives a valid coloring, so the
@@ -149,25 +149,19 @@ def _make_checker(p: Pattern, adj: list, tri: list):
     hold {u, v} yet, so the search tests each edge before placing it.  The
     answer does not assume that the rows are free of ``p``.
 
-    ``tri[0]`` is the number of triangles the rows hold.  When ``p`` has a
-    triangle, the generic checker answers no at once if that number is 0
-    and u and v have no common neighbor: the color stays triangle-free with
-    {u, v}, so it holds no copy, and neither the reach search nor any walk
-    runs.  The star-plus checker has no such gate: without a common
-    neighbor it only scans the rows of u and v, and the gate saved no
-    measurable time there."""
+    Star-plus from 4 vertices (path-plus on 4 is the same graph) gets a
+    bitmask checker, every other target the generic one.  ``tri[0]`` is the
+    number of triangles the rows hold.  When ``p`` has a triangle, the
+    generic checker answers no at once if that number is 0 and u and v have
+    no common neighbor: the color stays triangle-free with {u, v}, so it
+    holds no copy, and neither the reach search nor any walk runs.  The
+    star-plus checker has no such gate: without a common neighbor it only
+    scans the rows of u and v, and the gate saved no measurable time
+    there."""
     kind, size = p.kind, p.size
-    if size == 3 and len(p.edges()) == 3:
-        # the triangle: what the clique, cycle, star-plus and path-plus on
-        # three vertices all are
-
-        def hit_triangle(u: int, v: int) -> bool:
-            return (adj[u] & adj[v]) != 0
-
-        return hit_triangle
-
-    if kind == "star-plus" or (kind == "path-plus" and size == 4):
-        # path-plus on 4 vertices is the same graph as star-plus on 4.
+    if size > 3 and (kind == "star-plus" or (kind == "path-plus" and size == 4)):
+        # path-plus on 4 vertices is the same graph as star-plus on 4; on 3
+        # the scans of N(u) below would report triangles that miss {u, v}.
         # The new edge is either leaf-to-leaf (any common neighbor with
         # enough degree is a center) or center-to-leaf: the center u (or v)
         # reaches enough degree with the new edge, and N(u) + v holds an

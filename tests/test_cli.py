@@ -66,7 +66,7 @@ def test_construct_rejects_degenerate_t(capsys, tmp_path):
     assert "error" in report["result"]
 
 
-@pytest.mark.parametrize("k", ["2100", "70000"])
+@pytest.mark.parametrize("k", ["2100", "70000", "100000000"])
 def test_construct_refuses_an_order_no_array_holds(capsys, tmp_path, k):
     # one blow-up per color pair: the nested recipe would outrun the recursion limit
     out = tmp_path / "x.gcg"
@@ -493,6 +493,14 @@ def test_formula_gr_bounds_k_by_the_printable_value(capsys):
     assert code == 2 and report["result"]["error"].endswith(f" is {largest}")
 
 
+def test_formula_gr_refuses_a_huge_k(capsys):
+    # decided from k: the value at k = 10^8 alone takes minutes to compute
+    code, report, err = run_cli(capsys, "formula", "gr", "--family", "star-plus", "-t", "4", "-k", "100000000")
+    assert code == 2 and report["exit"] == 2
+    assert report["result"]["error"].startswith("k = 100000000 gives a value of more than ")
+    assert "Traceback" not in err
+
+
 def test_formula_rejects_excluded_cycles(capsys):
     code, report, _ = run_cli(capsys, "formula", "cycle", "-m", "4", "-n", "4")
     assert code == 2
@@ -514,6 +522,17 @@ def test_random_out_of_memory_exits_2(capsys, tmp_path):
     assert code == 2 and report["exit"] == 2
     assert "allocate" in report["result"]["error"]
     assert not (tmp_path / "r.gcg").exists()
+
+
+def test_random_refuses_a_build_larger_than_memory(capsys, tmp_path, monkeypatch):
+    # below the size numpy refuses by itself, the refusal comes before any allocation
+    monkeypatch.setattr(constructions, "_physical_memory", lambda: 2**10)
+    out = tmp_path / "r.gcg"
+    code, report, err = run_cli(capsys, "random", "-n", "24", "-k", "4", "-o", str(out))
+    assert code == 2 and report["exit"] == 2
+    assert report["result"]["error"].startswith("n = 24, k = 4 would allocate about 0.0 GiB to build and encode, ")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_random_seed_from_environment(capsys, tmp_path, monkeypatch):

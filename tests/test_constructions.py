@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from gallai_forge import cli, constructions
+from gallai_forge import cli, constructions, formulas
 from gallai_forge.constructions import (
     BlowUp5Recipe,
     TwoCliqueRecipe,
@@ -162,6 +162,22 @@ def test_lower_bound_refuses_orders_no_array_holds():
         lower_bound_recipe(4, 27)
 
 
+def test_lower_bound_recipe_refuses_a_huge_k_from_k(monkeypatch):
+    # k = 26 is the largest whose order fits one array; the refusal of
+    # k = 10^8 computes no order for a k far beyond it
+    seen = []
+
+    def counted(family, t, k):
+        seen.append(k)
+        return gr_value(family, t, k)
+
+    monkeypatch.setattr(formulas, "gr_value", counted)
+    monkeypatch.setattr(constructions, "gr_value", counted)
+    with pytest.raises(ValueError, match=r"^t = 4, k = 100000000 gives a construction of more than \d+ edges"):
+        lower_bound_recipe(4, 10**8)
+    assert max(seen) <= 2 * 26
+
+
 def test_lower_bound_refuses_a_build_larger_than_memory(monkeypatch):
     # with 8 GiB, (4, 12) needs about 4.9 GiB and (4, 13) about 31; neither is built
     monkeypatch.setattr(constructions, "_physical_memory", lambda: 8 * 2**30)
@@ -190,7 +206,32 @@ def test_peak_estimate_covers_the_traced_construct_command(tmp_path, k):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= constructions._peak_bytes(4, k)
+    assert peak <= constructions._peak_bytes(gr_value("star-plus", 4, k) - 1, k)
+
+
+def test_random_gallai_refuses_a_build_larger_than_memory(monkeypatch):
+    # 6 bytes per entry while colors have one digit: n = 24 needs 3,456
+    monkeypatch.setattr(constructions, "_physical_memory", lambda: 3456)
+    assert random_gallai(24, 4, 31).n == 24
+    with pytest.raises(MemoryError, match="^n = 25, k = 4 would allocate about "):
+        random_gallai(25, 4, 31)
+    monkeypatch.setattr(constructions, "_physical_memory", lambda: 8 * 2**30)
+    refusal = r"n = 50000, k = 3 would allocate about 14\.0 GiB to build and encode, more than the 8\.0 GiB of physical memory"
+    with pytest.raises(MemoryError, match=f"^{refusal}$"):
+        random_gallai(50000, 3, 0)
+
+
+@pytest.mark.parametrize("k", [3, 12])
+def test_peak_estimate_covers_the_traced_random_command(tmp_path, k):
+    # the same bound for the random command, with one- and two-digit colors
+    args = argparse.Namespace(n=1000, k=k, seed=5, output=str(tmp_path / "r.gcg"))
+    tracemalloc.start()
+    try:
+        cli._cmd_random(args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= constructions._peak_bytes(1000, k)
 
 
 def test_lower_bound_avoids_both_targets():

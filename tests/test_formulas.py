@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
+from gallai_forge import formulas
 from gallai_forge.formulas import (
     TARGET_FAMILIES,
     cycle_ramsey,
@@ -97,6 +100,24 @@ def test_describe_gr_branches():
     assert even == {"value": 7, "branch": "even-k"}
     odd = describe_gr("star-plus", 4, 3)
     assert odd == {"value": 16, "branch": "odd-k"}
+
+
+def test_describe_gr_refuses_a_huge_k_from_k(monkeypatch):
+    # at k = 10^8 the value has about 35 million digits and takes minutes;
+    # the refusal computes no value for a k far beyond the largest accepted
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+    seen = []
+
+    def counted(family, t, k):
+        seen.append(k)
+        return gr_value(family, t, k)
+
+    monkeypatch.setattr(formulas, "gr_value", counted)
+    refusal = "k = 100000000 gives a value of more than 4300 decimal digits; the largest k accepted for this t is 12303"
+    with pytest.raises(ValueError, match=f"^{refusal}$"):
+        describe_gr("star-plus", 4, 10**8)
+    assert max(seen) <= 2 * 12303
+    assert describe_gr("star-plus", 4, 12303)["value"] < 10**4300 <= gr_value("star-plus", 4, 12304)
 
 
 def test_describe_ramsey():

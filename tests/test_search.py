@@ -107,8 +107,8 @@ def test_every_prune_is_justified(monkeypatch):
         return hit_and_check
 
     monkeypatch.setattr(search, "_make_checker", checked)
-    # star-plus and triangle checkers, then generic ones with a triangle
-    # (path-plus 5, clique 4) and without (cycle 4)
+    # star-plus checkers, then generic ones with a triangle (path-plus 5,
+    # the triangle, clique 4) and without (cycle 4)
     for n, pa, pb in [
         (6, SP4, PP4),
         (7, SP4, SP4),
@@ -240,6 +240,7 @@ def _pins(rows):
 # pairs the generic checker serves, with its triangle gate (all but C5-C5)
 @_pins([
     ("C5-C5", (285, 136), (57181, 28591)),
+    ("K3-K3", (47, 21), (325, 163)),
     ("P5-P5", (44, 16), (3463, 1732)),
     ("P4-P5", (80, 32), (2768, 1385)),
     ("P5-P6", (3001, 1488), (23938, 11970)),
@@ -250,9 +251,8 @@ def test_generic_checker_counters_are_pinned(name, witness_counts, exhausted_cou
     _assert_pinned(name, witness_counts, exhausted_counts, reference=True)
 
 
-# the same, for pairs the triangle and star-plus checkers serve
+# the same, for pairs the star-plus checker serves
 @_pins([
-    ("K3-K3", (47, 21), (325, 163)),
     ("S4-S4", (24, 9), (539, 270)),
     ("S5-S5", (44, 16), (19837, 9919)),
     ("S4-S6", (163, 69), (636336, 318169)),
@@ -584,11 +584,11 @@ def test_time_budget_stops_soon_where_nodes_are_costly(target):
 def test_split_depth_does_not_change_answers(monkeypatch):
     # every split and worker count folds onto the one DFS's counters, at
     # witness orders too (split at order 4 and 6 the witness lies below a
-    # later prefix than the first), for a pair the triangle checker serves
-    # and one the generic checker serves: (pair, order, verdict, nodes,
-    # prunes, the witness's sha256).  Split orders 2, 3, 4 and 6 fix 1, 3,
-    # 6 and 15 edges; at the larger ones the prefix phase reaches every leaf
-    # of orders up to 4, and order 1 has no edge.
+    # later prefix than the first), for a pair the generic checker serves
+    # alone and one it shares with the star-plus checker: (pair, order,
+    # verdict, nodes, prunes, the witness's sha256).  Split orders 2, 3, 4
+    # and 6 fix 1, 3, 6 and 15 edges; at the larger ones the prefix phase
+    # reaches every leaf of orders up to 4, and order 1 has no edge.
     for name, n, verdict, nodes, prunes, sha in [
         ("K3-K3", 1, "witness", 0, 0, "e28dd495befc0be2009b7a63105fb50ace7ee7b7d7317a8453a859139cc60a7a"),
         ("K3-K3", 2, "witness", 1, 0, "4c0d784ed1533514ed377d5b4b4b4d099c945df3136a53b5ff32c45a49663d6f"),
