@@ -14,12 +14,11 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from .formulas import _largest_k, gr_value
-from .graphs import ColoredCompleteGraph, new_uniform
+from .graphs import MAX_COLOR, ColoredCompleteGraph, new_uniform
 
 # the most uint16 edge colors that one numpy array can hold
 _MAX_EDGES = np.iinfo(np.intp).max // np.dtype(np.uint16).itemsize
@@ -72,72 +71,57 @@ def blow_up_5(graph: ColoredCompleteGraph, c_a: int, c_b: int) -> ColoredComplet
 
 
 @dataclass(frozen=True)
-class UniformRecipe:
-    n: int
-    c: int
+class LowerBoundRecipe:
+    """The lower-bound coloring for (t, k), as made by ``lower_bound_recipe``;
+    an out-of-domain (t, k) is refused on creation."""
 
-    def build(self) -> ColoredCompleteGraph:
-        return new_uniform(self.n, self.c, self.c)
-
-    def text(self) -> str:
-        return f"uniform({self.n},{self.c})"
-
-
-@dataclass(frozen=True)
-class TwoCliqueRecipe:
     t: int
-    c_in: int
-    c_between: int
+    k: int
+
+    def __post_init__(self) -> None:
+        t, k = self.t, self.k
+        if t < 4:
+            raise ValueError(f"need t >= 4, got {t}; the t = 3 target degenerates to the triangle")
+        if k < 1:
+            raise ValueError(f"need k >= 1, got {k}")
+        # decided from k: the order of a large k takes minutes to compute
+        if k > _largest_k("star-plus", t, lambda value: (value - 1) * (value - 2) // 2 <= _MAX_EDGES):
+            raise ValueError(
+                f"t = {t}, k = {k} gives a construction of more than {_MAX_EDGES} edges, more than one array holds"
+            )
+
+    def _pair_starts(self) -> range:
+        """The first color c of each pair (c, c + 1) the seed is blown up by, innermost first."""
+        return range(2 if self.k % 2 else 3, self.k, 2)
 
     def build(self) -> ColoredCompleteGraph:
-        return two_clique_example(self.t, self.c_in, self.c_between)
+        t, k = self.t, self.k
+        _refuse_beyond_memory(gr_value("star-plus", t, k) - 1, k, f"t = {t}, k = {k} needs")
+        graph = new_uniform(t - 1, 1, 1) if k % 2 else two_clique_example(t, 1, 2)
+        for c in self._pair_starts():
+            graph = blow_up_5(graph, c, c + 1)
+        return graph
 
     def text(self) -> str:
-        return f"twoclique({self.t},{self.c_in},{self.c_between})"
+        text = f"uniform({self.t - 1},1)" if self.k % 2 else f"twoclique({self.t},1,2)"
+        for c in self._pair_starts():
+            text = f"blowup5({text},{c},{c + 1})"
+        return text
 
 
-@dataclass(frozen=True)
-class BlowUp5Recipe:
-    child: "ConstructionRecipe"
-    c_a: int
-    c_b: int
-
-    def build(self) -> ColoredCompleteGraph:
-        return blow_up_5(self.child.build(), self.c_a, self.c_b)
-
-    def text(self) -> str:
-        return f"blowup5({self.child.text()},{self.c_a},{self.c_b})"
-
-
-ConstructionRecipe = Union[UniformRecipe, TwoCliqueRecipe, BlowUp5Recipe]
-
-
-def lower_bound_recipe(t: int, k: int) -> ConstructionRecipe:
+def lower_bound_recipe(t: int, k: int) -> LowerBoundRecipe:
     """Recipe for the largest known k-coloring of a complete graph with no
     rainbow triangle and no monochromatic star-plus/path-plus target on t
-    vertices.  Orders: (t-1)*5^((k-1)/2) for odd k, 2(t-1)*5^((k-2)/2) for
-    even k.  The closed forms start at t = 4; the triangle case t = 3 obeys
-    a different value and is rejected here.  A (t, k) whose order has
-    more edges than one array holds is refused before any recipe is made:
-    neither its build nor its text could finish."""
-    if t < 4:
-        raise ValueError(f"need t >= 4, got {t}; the t = 3 target degenerates to the triangle")
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    # decided from k: the order of a large k takes minutes to compute
-    if k > _largest_k("star-plus", t, lambda value: (value - 1) * (value - 2) // 2 <= _MAX_EDGES):
-        raise ValueError(
-            f"t = {t}, k = {k} gives a construction of more than {_MAX_EDGES} edges, more than one array holds"
-        )
-    if k % 2:
-        recipe: ConstructionRecipe = UniformRecipe(t - 1, 1)
-        pairs = [(2 * i, 2 * i + 1) for i in range(1, (k - 1) // 2 + 1)]
-    else:
-        recipe = TwoCliqueRecipe(t, 1, 2)
-        pairs = [(2 * i + 1, 2 * i + 2) for i in range(1, (k - 2) // 2 + 1)]
-    for c_a, c_b in pairs:
-        recipe = BlowUp5Recipe(recipe, c_a, c_b)
-    return recipe
+    vertices: the seed K_{t-1} in color 1 (odd k) or two of them joined in
+    color 2 (even k), blown up once for each later pair of colors.  Orders:
+    (t-1)*5^((k-1)/2) for odd k, 2(t-1)*5^((k-2)/2) for even k.  The closed
+    forms start at t = 4; the triangle case t = 3 obeys a different value
+    and is rejected here, as is a (t, k) whose order has more edges than one
+    array holds, decided from k: neither its build nor its text could
+    finish.  ``build()`` refuses with MemoryError, before it builds
+    anything, a (t, k) whose build and GCG encoding would need more than the
+    machine's physical memory."""
+    return LowerBoundRecipe(t, k)
 
 
 def _peak_bytes(order: int, k: int) -> int:
@@ -173,12 +157,8 @@ def _refuse_beyond_memory(order: int, k: int, request: str) -> None:
 
 
 def lower_bound_construction(t: int, k: int) -> ColoredCompleteGraph:
-    """Build ``lower_bound_recipe(t, k)``.  A (t, k) whose build and GCG
-    encoding would need more than the machine's physical memory is refused
-    with MemoryError before anything is built."""
-    recipe = lower_bound_recipe(t, k)
-    _refuse_beyond_memory(gr_value("star-plus", t, k) - 1, k, f"t = {t}, k = {k} needs")
-    return recipe.build()
+    """Build ``lower_bound_recipe(t, k)``."""
+    return lower_bound_recipe(t, k).build()
 
 
 def _fill_random(sq: np.ndarray, lo: int, hi: int, k: int, rng: random.Random) -> None:
@@ -207,7 +187,8 @@ def random_gallai(n: int, k: int, seed: int) -> ColoredCompleteGraph:
     uniform composition), color each part pair with one of two colors drawn
     from 1..k, recurse into the parts.  Any 2-coloring of the quotient is
     rainbow-free, and substitution preserves that, so no rejection step is
-    needed.  Monochromatic triangles are allowed and common.  An (n, k)
+    needed.  Monochromatic triangles are allowed and common.  A k above
+    ``MAX_COLOR`` is refused with ValueError.  An (n, k)
     whose build and GCG encoding would need more than the machine's
     physical memory is refused with MemoryError before anything is
     allocated.
@@ -216,6 +197,8 @@ def random_gallai(n: int, k: int, seed: int) -> ColoredCompleteGraph:
         raise ValueError(f"need n >= 1, got {n}")
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
+    if k > MAX_COLOR:  # a drawn color above it would not fit the uint16 matrix
+        raise ValueError(f"color count must be in 1..{MAX_COLOR}, got {k}")
     _refuse_beyond_memory(n, k, f"n = {n}, k = {k} would allocate")
     rng = random.Random(seed)
     sq = np.zeros((n, n), dtype=np.uint16)

@@ -81,16 +81,19 @@ class ColoredCompleteGraph:
             raise ValueError(f"vertex count must be at least 1, got {n}")
         if not 1 <= k <= MAX_COLOR:
             raise ValueError(f"color count must be in 1..{MAX_COLOR}, got {k}")
-        tri = np.array(colors, dtype=np.uint16)  # a copy: freezing it leaves the caller's array alone
+        # checked before the cast, which would wrap a color outside uint16 and truncate a fraction
+        given = np.asarray(colors)
         want = n * (n - 1) // 2
-        if tri.shape != (want,):
-            raise ValueError(f"expected {want} edge colors for n={n}, got shape {tri.shape}")
+        if given.shape != (want,):
+            raise ValueError(f"expected {want} edge colors for n={n}, got shape {given.shape}")
         if want:
-            bad = (tri < 1) | (tri > k)
+            # no color of a non-integer dtype is valid; the first edge is named
+            bad = (given < 1) | (given > k) if given.dtype.kind in "iu" else np.ones(want, dtype=bool)
             if bad.any():
                 i = int(np.argmax(bad))
                 u, v = tri_unindex(i)
-                raise ValueError(f"edge {{{u}, {v}}} has color {int(tri[i])}, valid range is 1..{k}")
+                raise ValueError(f"edge {{{u}, {v}}} has color {given[i]}, valid range is 1..{k}")
+        tri = np.array(given, dtype=np.uint16)  # a copy: freezing it leaves the caller's array alone
         tri.setflags(write=False)
         self.n = n
         self.k = k

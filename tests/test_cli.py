@@ -68,7 +68,7 @@ def test_construct_rejects_degenerate_t(capsys, tmp_path):
 
 @pytest.mark.parametrize("k", ["2100", "70000", "100000000"])
 def test_construct_refuses_an_order_no_array_holds(capsys, tmp_path, k):
-    # one blow-up per color pair: the nested recipe would outrun the recursion limit
+    # the order of each of these k has more edges than one numpy array holds
     out = tmp_path / "x.gcg"
     code, report, err = run_cli(capsys, "construct", "--family", "star-plus", "-t", "4", "-k", k, "-o", str(out))
     assert code == 2 and report["exit"] == 2
@@ -453,6 +453,7 @@ def small_argv(draw) -> tuple[list[str], bool]:
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(case=small_argv())
+@example(case=(["random", "-n", "300", "-k", "70000", "--seed", "0"], False))
 def test_construct_random_and_formula_answer_with_one_envelope(case):
     argv, in_bounds = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -517,11 +518,22 @@ def test_random_is_seed_deterministic(capsys, tmp_path):
 
 
 def test_random_out_of_memory_exits_2(capsys, tmp_path):
-    # numpy refuses the n x n array up front, before allocating anything
+    # refused up front, before allocating anything: by the memory estimate where the
+    # platform reports physical memory, and by numpy's failed n x n allocation elsewhere
     code, report, _ = run_cli(capsys, "random", "-n", "1000000000", "-k", "2", "-o", str(tmp_path / "r.gcg"))
     assert code == 2 and report["exit"] == 2
     assert "allocate" in report["result"]["error"]
     assert not (tmp_path / "r.gcg").exists()
+
+
+def test_random_refuses_more_colors_than_a_graph_holds(capsys, tmp_path):
+    # n = 300 draws colors above 65535, which the uint16 color matrix cannot store
+    out = tmp_path / "r.gcg"
+    code, report, err = run_cli(capsys, "random", "-n", "300", "-k", "70000", "-o", str(out))
+    assert code == 2 and report["exit"] == 2
+    assert report["result"]["error"] == "color count must be in 1..65535, got 70000"
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_random_refuses_a_build_larger_than_memory(capsys, tmp_path, monkeypatch):

@@ -11,9 +11,6 @@ import pytest
 
 from gallai_forge import cli, constructions, formulas
 from gallai_forge.constructions import (
-    BlowUp5Recipe,
-    TwoCliqueRecipe,
-    UniformRecipe,
     blow_up_5,
     lower_bound_construction,
     lower_bound_recipe,
@@ -113,13 +110,22 @@ def test_blow_up_bytes_are_pinned():
 
 def test_recipes_build_and_describe():
     cases = [
-        (UniformRecipe(3, 1), 3, "uniform(3,1)"),
-        (TwoCliqueRecipe(4, 1, 2), 6, "twoclique(4,1,2)"),
-        (BlowUp5Recipe(UniformRecipe(3, 1), 2, 3), 15, "blowup5(uniform(3,1),2,3)"),
+        (1, 3, "uniform(3,1)"),
+        (2, 6, "twoclique(4,1,2)"),
+        (3, 15, "blowup5(uniform(3,1),2,3)"),
     ]
-    for recipe, order, text in cases:
+    for k, order, text in cases:
+        recipe = lower_bound_recipe(4, k)
         assert recipe.text() == text
         assert recipe.build().n == order
+
+
+def test_recipe_texts_are_pinned():
+    # every text up to the largest k whose order one array holds, one per line
+    texts = "\n".join(lower_bound_recipe(4, k).text() for k in range(1, 27))
+    assert hashlib.sha256(texts.encode("ascii")).hexdigest() == (
+        "e8cb4f48202a1e4ec41aef288fe1a394be6cf7cf194077b754e5ba0b05baed47"
+    )
 
 
 @pytest.mark.parametrize(
@@ -181,8 +187,15 @@ def test_lower_bound_recipe_refuses_a_huge_k_from_k(monkeypatch):
 def test_lower_bound_refuses_a_build_larger_than_memory(monkeypatch):
     # with 8 GiB, (4, 12) needs about 4.9 GiB and (4, 13) about 31; neither is built
     monkeypatch.setattr(constructions, "_physical_memory", lambda: 8 * 2**30)
-    monkeypatch.setattr(BlowUp5Recipe, "build", lambda recipe: recipe)
-    assert lower_bound_construction(4, 12).text() == lower_bound_recipe(4, 12).text()
+    pairs = []
+
+    def blow_up(graph, c_a, c_b):
+        pairs.append((c_a, c_b))
+        return graph
+
+    monkeypatch.setattr(constructions, "blow_up_5", blow_up)
+    assert lower_bound_construction(4, 12).n == 6  # the seed, passed through every blow-up
+    assert pairs == [(3, 4), (5, 6), (7, 8), (9, 10), (11, 12)]
     refusal = r"t = 4, k = 13 needs about 30\.7 GiB to build and encode, more than the 8\.0 GiB of physical memory"
     with pytest.raises(MemoryError, match=refusal):
         lower_bound_construction(4, 13)

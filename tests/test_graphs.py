@@ -75,6 +75,17 @@ def test_construction_validation():
     assert "3" in str(exc.value)
     with pytest.raises(ValueError):
         ColoredCompleteGraph(3, 2, [1, 0, 1])
+    # colors outside uint16, in a list or an array, are refused, not wrapped
+    for colors in ([1, 2, 70000], [1, -1, 1], np.array([1, 2, 65538])):
+        with pytest.raises(ValueError, match=r"^edge \{\d, \d\} has color (70000|-1|65538), valid range is 1\.\.5$"):
+            ColoredCompleteGraph(3, 5, colors)
+    with pytest.raises(ValueError, match=r"^edge \{1, 0\} has color 65537, valid range is 1\.\.5$"):
+        ColoredCompleteGraph.from_square(2, 5, np.array([[0, 65537], [65537, 0]]))
+    # a non-integer dtype is refused, not truncated
+    for colors in ([1, 1.5, 1], np.array([1.0, 2.0, 1.0])):
+        with pytest.raises(ValueError, match=r"^edge \{1, 0\} has color 1\.0, valid range is 1\.\.5$"):
+            ColoredCompleteGraph(3, 5, colors)
+    assert ColoredCompleteGraph(1, 1, []).n == 1
 
 
 def test_construction_copies_the_callers_array():
